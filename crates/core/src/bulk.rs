@@ -162,12 +162,11 @@ impl TrainedModel {
             Ok(buf.iter().sum::<f64>() / buf.len().max(1) as f64)
         };
 
-        let hw = whatif_learn::forest::hardware_parallelism();
         let work = plans.len().saturating_mul(self.matrix().n_rows());
         let n_threads = if work < 16_384 || self.batch_predict_is_parallel() {
             1
         } else {
-            requested_threads.max(1).min(plans.len().max(1)).min(hw)
+            whatif_learn::forest::worker_count(requested_threads, plans.len())
         };
         if n_threads <= 1 {
             let mut buf = vec![0.0; self.matrix().n_rows()];

@@ -41,7 +41,8 @@ use crate::linalg::Matrix;
 use crate::model::{check_binary_labels, Classifier, LearnError, MatrixView, Predictor, Regressor};
 use crate::split::train_test_split;
 use crate::tree::{
-    check_no_nan_features, entry_class, Criterion, FlatTree, FullPresort, Mse, TreeConfig, LEAF,
+    check_no_nan_features, entry_class, leaf_meta, Criterion, FlatTree, FullPresort, Mse,
+    TreeConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,7 +215,7 @@ struct BinnedGrow<'a, C: Criterion> {
 impl<C: Criterion> BinnedGrow<'_, C> {
     fn push_leaf(&mut self, value: f64) -> u32 {
         let i = self.meta.len() as u32;
-        self.meta.push(u64::from(LEAF));
+        self.meta.push(leaf_meta(i));
         self.thresh.push(value);
         i
     }

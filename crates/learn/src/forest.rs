@@ -41,7 +41,8 @@ pub struct ForestConfig {
     pub tree: TreeConfig,
     /// Master seed; tree seeds derive from it.
     pub seed: u64,
-    /// Worker threads for training (`1` = sequential).
+    /// Worker threads for training and batch prediction (`1` =
+    /// sequential), capped by [`worker_count`].
     pub n_threads: usize,
     /// Training tier. [`Trainer::Presorted`] is exact (bit-identical to
     /// the seed); [`Trainer::Binned`] trades bit-identity for O(bins)
@@ -100,7 +101,7 @@ where
         })
         .collect();
 
-    let n_threads = config.n_threads.max(1).min(config.n_trees);
+    let n_threads = worker_count(config.n_threads, config.n_trees);
     if n_threads == 1 {
         return jobs
             .into_iter()
@@ -162,17 +163,30 @@ pub fn hardware_parallelism() -> usize {
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
+/// The one worker-count rule for every fan-out over `jobs` independent
+/// jobs (trees to train, rows to score, scenarios to price): the
+/// caller's `requested` count, but at least one, at most one per job,
+/// and never more than [`hardware_parallelism`]. Thread counts arrive
+/// from clients unchecked, so this cap is what keeps a request from
+/// spawning an OS thread per unit of work. Results never depend on the
+/// count: training pre-draws every tree's seed and sample, and scoring
+/// writes each row's own slot.
+pub fn worker_count(requested: usize, jobs: usize) -> usize {
+    requested
+        .max(1)
+        .min(jobs.max(1))
+        .min(hardware_parallelism())
+}
+
 /// Decide the worker count for a batch of `rows` rows over `n_trees`
 /// trees. Thread spawn costs ~tens of µs; only fan out when the batch
-/// has enough row×tree work to amortize it, and never beyond the
-/// hardware's parallelism. Results are identical either way (per-row
-/// math does not depend on the partitioning).
+/// has enough row×tree work to amortize it.
 fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> usize {
     let work = rows.saturating_mul(n_trees);
     if work < PARALLEL_BATCH_MIN_WORK {
         1
     } else {
-        n_threads.max(1).min(rows).min(hardware_parallelism())
+        worker_count(n_threads, rows)
     }
 }
 
@@ -933,6 +947,42 @@ mod tests {
             par.feature_importances().unwrap()
         );
         assert_eq!(seq.oob_accuracy().unwrap(), par.oob_accuracy().unwrap());
+    }
+
+    #[test]
+    fn unbounded_thread_request_is_capped_and_changes_nothing() {
+        let hw = hardware_parallelism();
+        assert!(worker_count(usize::MAX, usize::MAX) <= hw);
+        assert!(worker_count(usize::MAX, 120) <= hw);
+        assert_eq!(worker_count(0, 120), 1);
+        assert_eq!(worker_count(usize::MAX, 1), 1);
+        assert_eq!(worker_count(usize::MAX, 0), 1);
+
+        let (x, y) = class_data(150, 30);
+        let fit = |n_threads| {
+            let mut f = RandomForestClassifier::new(ForestConfig {
+                n_trees: 16,
+                seed: 31,
+                n_threads,
+                ..ForestConfig::default()
+            });
+            f.fit(&x, &y).unwrap();
+            f
+        };
+        let (one, max) = (fit(1), fit(usize::MAX));
+        assert_eq!(
+            one.feature_importances().unwrap(),
+            max.feature_importances().unwrap()
+        );
+        assert_eq!(
+            one.oob_accuracy().unwrap().to_bits(),
+            max.oob_accuracy().unwrap().to_bits()
+        );
+        let mut a = vec![0.0; x.n_rows()];
+        let mut b = vec![0.0; x.n_rows()];
+        one.predict_batch((&x).into(), &mut a).unwrap();
+        max.predict_batch((&x).into(), &mut b).unwrap();
+        assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
     }
 
     #[test]

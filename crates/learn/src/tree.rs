@@ -19,6 +19,8 @@
 //! ([`FlatTree`]): packed `u32` feature/right-child index words with a
 //! leaf sentinel next to one contiguous `f64` array holding thresholds
 //! and leaf values (the left child is always the next node, pre-order).
+//! Leaves point at themselves, so prediction walks pick children with a
+//! conditional move instead of a branch.
 //! Both changes are **bit-identical** to the seed implementation, which
 //! is retained as the `Reference` trainer and [`SeedLayoutTree`] for
 //! equivalence tests and old-vs-new benchmarks — see `docs/FOREST.md`
@@ -26,6 +28,7 @@
 
 use crate::linalg::Matrix;
 use crate::model::{check_binary_labels, Classifier, LearnError, Predictor, Regressor};
+use core::hint::select_unpredictable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use whatif_stats::sampling::sample_without_replacement;
@@ -75,15 +78,26 @@ pub enum Trainer {
     /// Per-node gather + stable sort (the seed implementation).
     Reference,
     /// Histogram-binned split finding: each feature quantized to ≤256
-    /// quantile buckets once per forest, per-node histograms built in
-    /// one streaming pass, children derived by parent − sibling
-    /// subtraction. Approximate (own accuracy contract), not
-    /// bit-identical to the exact tiers.
+    /// quantile buckets once per forest; every node samples its feature
+    /// subset first and builds histograms for those features only, in
+    /// one streaming pass over its rows (no parent − sibling
+    /// subtraction, which would have to keep histograms for every
+    /// feature). Approximate (own accuracy contract), not bit-identical
+    /// to the exact tiers.
     Binned,
 }
 
 /// Leaf sentinel in the feature half of [`FlatTree::meta`].
 pub(crate) const LEAF: u32 = u32::MAX;
+
+/// The `meta` word of the leaf stored at node `index`: [`LEAF`] in the
+/// feature half and the leaf's own index in the right-child half, so a
+/// walk that reaches the leaf stays there (see [`FlatTree`]). Every
+/// grower writes leaves through this.
+#[inline]
+pub(crate) fn leaf_meta(index: u32) -> u64 {
+    (u64::from(index) << 32) | u64::from(LEAF)
+}
 
 /// Map an f64 to a u64 whose unsigned order equals `f64::total_cmp`
 /// order (sign-magnitude flip).
@@ -187,6 +201,12 @@ impl FullPresort {
 /// split threshold — or the leaf value for leaves — keeping a
 /// traversal's working set to 16 bytes per node (the seed's enum arena
 /// spent 40).
+///
+/// Leaves are **absorbing**: a leaf's right-child half holds its own
+/// index ([`leaf_meta`]). Together with [`Self::step`], which sends a
+/// row at a leaf "right", a walk that has landed stays on its leaf, so
+/// the batch kernel can keep stepping a group of rows without asking
+/// which of them are done.
 #[derive(Debug, Clone)]
 pub(crate) struct FlatTree {
     meta: Vec<u64>,
@@ -198,39 +218,59 @@ pub(crate) struct FlatTree {
 }
 
 impl FlatTree {
+    /// One step of a walk from node `i`: the left child `i + 1` when
+    /// `row[feature] <= threshold`, else the right-child half of the
+    /// node's word. At a leaf the feature half is [`LEAF`], which is out
+    /// of range for every row, so the test reads NaN, compares false
+    /// and takes the right-child half: the leaf itself. A NaN cell at a
+    /// split goes right too, exactly like the `if`-based seed walk.
+    ///
+    /// The child is picked with `select_unpredictable`, which compiles
+    /// to a conditional move (`ucomisd` + `cmovae`, checked with
+    /// objdump). Do not turn it back into an `if`: the release build
+    /// compiles `if x <= t { i + 1 } else { right }` to `ucomisd` +
+    /// `jb`, a jump whose direction depends on the data at every node,
+    /// and its mispredicts were the batch kernel's dominant cost
+    /// (`docs/FOREST.md`, "Prediction").
+    #[inline(always)]
+    fn step(meta: &[u64], thresh: &[f64], row: &[f64], i: usize) -> usize {
+        let m = meta[i];
+        let x = *row.get((m as u32) as usize).unwrap_or(&f64::NAN);
+        select_unpredictable(x <= thresh[i], i + 1, (m >> 32) as usize)
+    }
+
     /// Walk a row to its leaf value. The caller has validated the row
     /// width (batch paths check once per batch, not once per row).
     #[inline]
     pub(crate) fn traverse(&self, row: &[f64]) -> f64 {
         let mut i = 0usize;
-        loop {
-            let m = self.meta[i];
-            let t = self.thresh[i];
-            let f = m as u32;
-            if f == LEAF {
-                return t;
-            }
-            i = if row[f as usize] <= t {
-                i + 1
-            } else {
-                (m >> 32) as usize
-            };
+        while self.meta[i] as u32 != LEAF {
+            i = Self::step(&self.meta, &self.thresh, row, i);
         }
+        self.thresh[i]
     }
 
     /// Accumulate this tree's leaf value for every row of a contiguous
     /// row-major block (`block.len() == acc.len() * p`) into `acc`.
     ///
-    /// Rows are walked in small interleaved groups so the CPU overlaps
-    /// the dependent node-load chains of independent rows; rows that
-    /// have landed just re-read their (cached) leaf node until the
-    /// group finishes. Each row's final leaf value is identical to
-    /// [`Self::traverse`], so accumulation order — and therefore every
-    /// bit — matches the row-at-a-time path.
+    /// Rows are walked in interleaved groups of four so the CPU overlaps
+    /// the dependent node-load chains of independent rows. Each step
+    /// moves all four rows with [`Self::step`] and has no per-row leaf
+    /// test: a row that has landed stays on its absorbing leaf. The
+    /// group leaves the loop once all four rows stand on leaves — one
+    /// predictable branch per step — so it takes exactly as many steps
+    /// as the per-row-test loop it replaced, even on a lopsided tree.
+    ///
+    /// Each row ends on the same leaf as [`Self::traverse`] and the
+    /// seed's `if`-based walk (same `<=` test, same NaN routing), and
+    /// `acc` gains one leaf value per call, so per-row sums still fold
+    /// the trees in order: the result is bit-identical to the
+    /// row-at-a-time path.
     pub(crate) fn accumulate_block(&self, block: &[f64], p: usize, acc: &mut [f64]) {
         const G: usize = 4;
         let meta = &self.meta[..];
-        let thresh = &self.thresh[..];
+        // Equal lengths let one bounds check cover both arrays.
+        let thresh = &self.thresh[..meta.len()];
         let full = acc.len() - acc.len() % G;
         let mut r = 0;
         while r < full {
@@ -242,23 +282,12 @@ impl FlatTree {
             ];
             let mut cur = [0usize; G];
             loop {
-                let mut live = false;
+                let mut landed = true;
                 for g in 0..G {
-                    let i = cur[g];
-                    let m = meta[i];
-                    let f = m as u32;
-                    // Predictable until the leaf: rows that have landed
-                    // just re-read their (cached) leaf node.
-                    if f != LEAF {
-                        live = true;
-                        cur[g] = if rows[g][f as usize] <= thresh[i] {
-                            i + 1
-                        } else {
-                            (m >> 32) as usize
-                        };
-                    }
+                    landed &= meta[cur[g]] as u32 == LEAF;
+                    cur[g] = Self::step(meta, thresh, rows[g], cur[g]);
                 }
-                if !live {
+                if landed {
                     break;
                 }
             }
@@ -290,7 +319,8 @@ impl FlatTree {
     /// Assemble from pre-built arenas (the binned trainer grows its
     /// arenas outside [`Grow`]). `meta`/`thresh` must follow this
     /// type's pre-order layout: left child at `i + 1`, feature ==
-    /// [`LEAF`] marking leaves whose `thresh` is the leaf value.
+    /// [`LEAF`] marking leaves whose `thresh` is the leaf value, and
+    /// every leaf absorbing ([`leaf_meta`]).
     pub(crate) fn from_parts(
         meta: Vec<u64>,
         thresh: Vec<f64>,
@@ -298,6 +328,12 @@ impl FlatTree {
         importances: Vec<f64>,
         depth: usize,
     ) -> FlatTree {
+        debug_assert!(
+            meta.iter()
+                .enumerate()
+                .all(|(i, &m)| m as u32 != LEAF || m == leaf_meta(i as u32)),
+            "every leaf must point its right child at itself"
+        );
         FlatTree {
             meta,
             thresh,
@@ -853,7 +889,7 @@ impl<'a, C: Criterion> Grow<'a, C> {
 
     fn push_leaf(&mut self, value: f64) -> u32 {
         let i = self.meta.len() as u32;
-        self.meta.push(u64::from(LEAF));
+        self.meta.push(leaf_meta(i));
         self.thresh.push(value);
         i
     }

@@ -12,10 +12,10 @@ use proptest::prelude::*;
 use whatif::core::kpi::KpiKind;
 use whatif::core::model_backend::{ModelConfig, ModelKind, TrainedModel};
 use whatif::learn::forest::ForestConfig;
-use whatif::learn::tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig};
+use whatif::learn::tree::{DecisionTreeClassifier, DecisionTreeRegressor, Trainer, TreeConfig};
 use whatif::learn::{
-    Classifier as _, ColumnOverlay, LearnError, Matrix, MatrixView, Predictor as _,
-    RandomForestClassifier, RandomForestRegressor, Regressor as _,
+    Classifier as _, ColumnOverlay, GbdtClassifier, GbdtConfig, GbdtRegressor, LearnError, Matrix,
+    MatrixView, Predictor, RandomForestClassifier, RandomForestRegressor, Regressor as _,
 };
 
 const FEATURES: usize = 4;
@@ -73,6 +73,59 @@ fn probe_rows(x: &Matrix) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
+}
+
+/// The seed row-major batch path of a forest.
+type RowMajor<'a> = &'a dyn Fn(MatrixView<'_>, &mut [f64]) -> Result<(), LearnError>;
+
+/// Batch prediction == the seed row-major path (when the family has
+/// one) == per-row prediction, bit for bit, on the dense matrix, on an
+/// overlay scaling column 1 by `1 + pct`, and on an overlay whose
+/// column 0 holds ±inf cells and NaN cells (an analyst's −100 % move of
+/// an infinite cell) among scaled ones: such cells must route exactly
+/// like the seed's `if x <= t` walk.
+fn batch_paths_agree<P: Predictor>(
+    model: &P,
+    row_major: Option<RowMajor<'_>>,
+    x: &Matrix,
+    pct: f64,
+) {
+    let n = x.n_rows();
+    let moved = |v: f64, pct: f64| v * (1.0 + pct);
+    let mut scaled = ColumnOverlay::new(x);
+    scaled.map_col(1, |v| moved(v, pct)).unwrap();
+    let mut extreme = ColumnOverlay::new(x);
+    let cells = (0..n)
+        .map(|i| match i % 5 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => moved(f64::INFINITY, -1.0),
+            _ => moved(x.get(i, 0), pct),
+        })
+        .collect();
+    extreme.set_col(0, cells).unwrap();
+    assert!(extreme.get(2, 0).is_nan());
+
+    let views = [
+        (MatrixView::Dense(x), x.clone()),
+        (MatrixView::Overlay(&scaled), scaled.to_matrix()),
+        (MatrixView::Overlay(&extreme), extreme.to_matrix()),
+    ];
+    for (view, reference) in views {
+        let mut batch = vec![0.0; n];
+        model.predict_batch(view, &mut batch).unwrap();
+        if let Some(row_major) = row_major {
+            let mut seed_path = vec![0.0; n];
+            row_major(view, &mut seed_path).unwrap();
+            for (i, (a, b)) in batch.iter().zip(&seed_path).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+            }
+        }
+        for (i, a) in batch.iter().enumerate() {
+            let per_row = model.predict_row(reference.row(i)).unwrap();
+            assert_eq!(a.to_bits(), per_row.to_bits(), "row {i}");
+        }
+    }
 }
 
 proptest! {
@@ -180,44 +233,51 @@ proptest! {
     }
 
     // The tree-major flattened batch path == the seed row-major path ==
-    // per-row prediction, bit for bit, on dense and overlay inputs, at
-    // any prediction thread count.
+    // per-row prediction, bit for bit, for every family that scores
+    // through it (exact and binned forests of both kinds, GBDT rounds),
+    // from stumps to depth-24 trees, on dense and overlay inputs —
+    // including ±inf and NaN overlay cells — at any thread count.
     #[test]
     fn treemajor_batch_equals_rowmajor_and_per_row(
         seed in 0u64..1000,
         n_rows in 30usize..90,
         n_trees in 1usize..10,
+        max_depth in 0usize..25,
         threads in 1usize..6,
         pct in -0.5f64..1.5,
     ) {
-        let (x, labels, _) = training_data(seed, n_rows, 101);
-        let mut forest = RandomForestClassifier::new(ForestConfig {
-            n_trees,
-            tree: tree_config(6, 1, None, 0),
+        let (x, labels, y) = training_data(seed, n_rows, 101);
+        for trainer in [Trainer::Presorted, Trainer::Binned] {
+            let config = ForestConfig {
+                n_trees,
+                tree: tree_config(max_depth, 1, None, 0),
+                seed,
+                n_threads: threads,
+                trainer,
+                ..ForestConfig::default()
+            };
+            let mut c = RandomForestClassifier::new(config.clone());
+            c.fit(&x, &labels).unwrap();
+            batch_paths_agree(&c, Some(&|v, out| c.predict_batch_rowmajor(v, out)), &x, pct);
+            let mut r = RandomForestRegressor::new(config);
+            r.fit(&x, &y).unwrap();
+            batch_paths_agree(&r, Some(&|v, out| r.predict_batch_rowmajor(v, out)), &x, pct);
+        }
+        let gbdt = GbdtConfig {
+            n_rounds: n_trees,
+            max_depth,
+            min_samples_leaf: 1,
+            holdout_fraction: 0.0,
             seed,
             n_threads: threads,
-            ..ForestConfig::default()
-        });
-        forest.fit(&x, &labels).unwrap();
-
-        let mut overlay = ColumnOverlay::new(&x);
-        overlay.map_col(1, |v| v * (1.0 + pct)).unwrap();
-        let dense_overlay = overlay.to_matrix();
-
-        for (view, reference) in [
-            (MatrixView::Dense(&x), &x),
-            (MatrixView::Overlay(&overlay), &dense_overlay),
-        ] {
-            let mut tree_major = vec![0.0; n_rows];
-            let mut row_major = vec![0.0; n_rows];
-            forest.predict_batch(view, &mut tree_major).unwrap();
-            forest.predict_batch_rowmajor(view, &mut row_major).unwrap();
-            for i in 0..n_rows {
-                prop_assert!(tree_major[i].to_bits() == row_major[i].to_bits());
-                let per_row = forest.predict_row(reference.row(i)).unwrap();
-                prop_assert!(tree_major[i].to_bits() == per_row.to_bits());
-            }
-        }
+            ..GbdtConfig::default()
+        };
+        let mut gr = GbdtRegressor::new(gbdt.clone());
+        gr.fit(&x, &y).unwrap();
+        batch_paths_agree(&gr, None, &x, pct);
+        let mut gc = GbdtClassifier::new(gbdt);
+        gc.fit(&x, &labels).unwrap();
+        batch_paths_agree(&gc, None, &x, pct);
     }
 
     // Model fingerprints survive the rewrite's determinism contract:
