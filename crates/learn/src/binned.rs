@@ -864,7 +864,7 @@ mod tests {
         assert_eq!(d.bin(0, 0), d.bin(1, 0));
         let t = d.cut(0, 0);
         // Both zeros route left of the cut, 1.0 routes right.
-        assert!(0.0 <= t && -0.0 <= t && 1.0 > t);
+        assert!((0.0..1.0).contains(&t) && -0.0 <= t);
     }
 
     #[test]
@@ -881,7 +881,7 @@ mod tests {
         assert_eq!(d.bin(3, 0), 3);
         // -∞ | -1: midpoint is -∞ and still separates (only -∞ ≤ -∞).
         let t0 = d.cut(0, 0);
-        assert!(f64::NEG_INFINITY <= t0 && -1.0 > t0);
+        assert!((f64::NEG_INFINITY..-1.0).contains(&t0));
         // 2 | +∞: midpoint overflows to +∞, guard falls back to the
         // left endpoint so +∞ routes right.
         let t2 = d.cut(0, 2);
@@ -895,7 +895,7 @@ mod tests {
         let (x, ps) = dataset(&rows);
         let d = BinnedDataset::from_presort(&x, &ps, 256);
         let nb = d.n_bins(0);
-        assert!(nb <= 256 && nb >= 250, "{nb} bins");
+        assert!((250..=256).contains(&nb), "{nb} bins");
         // Bin ids are monotone in the value and every cut separates its
         // boundary: v ≤ cut(b) iff bin(v) ≤ b.
         for r in 0..999 {

@@ -1,14 +1,21 @@
 //! The transport-agnostic dispatch facade.
 //!
 //! [`Engine`] owns the sharded session registry and executes
-//! [`Request`]s into [`Response`]s with typed [`ApiError`] failures. It
-//! is the single implementation shared by:
+//! [`Request`]s into [`Response`]s with typed [`ApiError`] failures.
+//! Every request runs through one crate-private `Engine::execute`,
+//! whichever way it arrives:
 //!
-//! * the TCP layer (`crate::tcp`), which feeds it wire lines via
+//! * v1/v2 JSON lines from the TCP layer (`crate::tcp`) via
 //!   [`Engine::dispatch_line`],
+//! * v3 frames (`crate::v3`), which call `execute` directly with the
+//!   frame's id and deadline,
 //! * in-process callers and tests via [`Engine::handle`] /
-//!   [`Engine::handle_envelope`],
-//! * the legacy [`crate::handlers::ServerState`] adapter.
+//!   [`Engine::handle_envelope`].
+//!
+//! `execute` times and counts the request under its kind, runs a batch
+//! step by step, and puts every other request behind one guard —
+//! deadline check, heavy-request admission, the `engine.dispatch` fault
+//! point, panic isolation — around a single `match` over [`Request`].
 //!
 //! Analysis variants delegate to
 //! [`whatif_core::spec::AnalysisSpec::execute`], so the declarative
@@ -40,8 +47,10 @@ use whatif_obs::{clock, MetricsSnapshot};
 /// concurrency.
 pub const DEFAULT_MAX_INFLIGHT: usize = 256;
 
-/// A per-request execution deadline, measured from dispatch start on
-/// the obs fast clock (the repo's only permitted time source).
+/// A per-request execution deadline, measured on the obs fast clock
+/// (the repo's only permitted time source) from the moment the
+/// transport hands the request over: envelope dispatch for v2, frame
+/// decode for v3.
 ///
 /// A zero budget is an already-expired deadline; [`Deadline::expired`]
 /// is true from the first check.
@@ -72,6 +81,14 @@ impl Deadline {
     pub fn budget_ms(&self) -> u64 {
         self.budget_ms
     }
+}
+
+/// What a transport supplies with one request: the correlation id every
+/// reply echoes (batch steps included) and the optional deadline, which
+/// covers a whole batch.
+pub(crate) struct RequestCtx {
+    pub(crate) id: u64,
+    pub(crate) deadline: Option<Deadline>,
 }
 
 /// The request kinds admission control guards: the ones that can hold a
@@ -230,10 +247,11 @@ impl Engine {
     /// # Errors
     /// A typed [`ApiError`]; the transport decides how to frame it.
     pub fn handle(&self, request: Request) -> Result<Response, ApiError> {
-        match request {
-            Request::Batch(steps) => Ok(Response::Batch(self.run_batch_recorded(0, steps, None))),
-            other => self.dispatch(other).map(|(response, _)| response),
-        }
+        let ctx = RequestCtx {
+            id: 0,
+            deadline: None,
+        };
+        self.execute(&ctx, request).map(|(response, _)| response)
     }
 
     /// Execute one v2 envelope, echoing its id on the reply. Analysis
@@ -251,7 +269,10 @@ impl Engine {
         if let Some(trace) = trace_id.as_deref() {
             span::set_trace(trace);
         }
-        let deadline = deadline_ms.map(Deadline::starting_now);
+        let ctx = RequestCtx {
+            id,
+            deadline: deadline_ms.map(Deadline::starting_now),
+        };
         let reply = if version == 0 || version > PROTOCOL_VERSION {
             self.obs.record_error(ErrorCode::BadRequest);
             Reply::fail(
@@ -261,15 +282,9 @@ impl Engine {
                 )),
             )
         } else {
-            match body {
-                Request::Batch(steps) => Reply::ok(
-                    id,
-                    Response::Batch(self.run_batch_recorded(id, steps, deadline.as_ref())),
-                ),
-                other => match self.dispatch_with_deadline(other, deadline.as_ref()) {
-                    Ok((response, cached)) => Reply::ok(id, response).with_cached(cached),
-                    Err(error) => Reply::fail(id, error),
-                },
+            match self.execute(&ctx, body) {
+                Ok((response, cached)) => Reply::ok(id, response).with_cached(cached),
+                Err(error) => Reply::fail(id, error),
             }
         };
         reply.with_trace(trace_id)
@@ -355,54 +370,61 @@ impl Engine {
         }
     }
 
-    /// [`Engine::run_batch`] plus batch-level metrics: the whole batch
-    /// is timed and counted under the `batch` kind (steps also count
-    /// individually through `dispatch`), and it claims the open span's
-    /// kind so slow batches log as batches.
-    fn run_batch_recorded(
+    /// The one execution path: every transport and in-process entry
+    /// point ends here. Each request — a batch as a whole, and each of
+    /// its steps — claims the open span's kind (first writer wins, so
+    /// slow batches log as batches) and lands one observation in its
+    /// kind's latency histogram, together with its error code on
+    /// failure. A batch runs step by step; every other request runs
+    /// behind [`Engine::run_guarded`].
+    pub(crate) fn execute(
         &self,
-        id: u64,
-        steps: Vec<Request>,
-        deadline: Option<&Deadline>,
-    ) -> Vec<Reply> {
-        span::set_kind(RequestKind::Batch as u16);
+        ctx: &RequestCtx,
+        request: Request,
+    ) -> Result<(Response, bool), ApiError> {
+        let kind = request.kind();
+        span::set_kind(kind as u16);
         let started = self.obs.start_timer();
-        let replies = self.run_batch(id, steps, deadline);
-        self.obs.record_request(RequestKind::Batch, started, None);
-        replies
+        let result = match request {
+            Request::Batch(steps) => Ok((Response::Batch(self.run_batch(ctx, steps)), false)),
+            request => self.run_guarded(ctx, request),
+        };
+        self.obs
+            .record_request(kind, started, result.as_ref().err().map(|e| e.code));
+        result
     }
 
     /// Run batch steps in order, stopping at the first failure. Every
-    /// reply echoes the batch's correlation id. The enclosing
-    /// envelope's deadline covers the whole batch: a step that starts
-    /// after expiry fails with [`ErrorCode::DeadlineExceeded`] and ends
-    /// the batch.
-    fn run_batch(&self, id: u64, steps: Vec<Request>, deadline: Option<&Deadline>) -> Vec<Reply> {
+    /// reply echoes the batch's correlation id. The batch's deadline
+    /// covers all of its steps: a step that starts after expiry fails
+    /// with [`ErrorCode::DeadlineExceeded`] and ends the batch, whose
+    /// own reply still succeeds with the steps answered so far.
+    fn run_batch(&self, ctx: &RequestCtx, steps: Vec<Request>) -> Vec<Reply> {
         let mut replies = Vec::with_capacity(steps.len());
         let mut last_session: Option<u64> = None;
         for mut step in steps {
             if matches!(step, Request::Batch(_)) {
                 self.obs.record_error(ErrorCode::BadRequest);
                 replies.push(Reply::fail(
-                    id,
+                    ctx.id,
                     ApiError::bad_request("batches do not nest"),
                 ));
                 break;
             }
             if let Err(error) = resolve_current_session(&mut step, last_session) {
                 self.obs.record_error(error.code);
-                replies.push(Reply::fail(id, error));
+                replies.push(Reply::fail(ctx.id, error));
                 break;
             }
-            match self.dispatch_with_deadline(step, deadline) {
+            match self.execute(ctx, step) {
                 Ok((response, cached)) => {
                     if let Response::SessionCreated { session, .. } = &response {
                         last_session = Some(*session);
                     }
-                    replies.push(Reply::ok(id, response).with_cached(cached));
+                    replies.push(Reply::ok(ctx.id, response).with_cached(cached));
                 }
                 Err(error) => {
-                    replies.push(Reply::fail(id, error));
+                    replies.push(Reply::fail(ctx.id, error));
                     break;
                 }
             }
@@ -410,56 +432,30 @@ impl Engine {
         replies
     }
 
-    /// Execute one non-batch request, reporting whether an analysis
-    /// response was served entirely from the result cache. Wraps
-    /// [`Engine::dispatch_inner`] with per-request metrics: the
-    /// per-kind counter and latency histogram always move together,
-    /// for every outcome including errors.
-    fn dispatch(&self, request: Request) -> Result<(Response, bool), ApiError> {
-        self.dispatch_with_deadline(request, None)
-    }
-
-    /// [`Engine::dispatch`] under an optional deadline: expired → fail
-    /// immediately with [`ErrorCode::DeadlineExceeded`], before any
-    /// work or admission accounting.
-    fn dispatch_with_deadline(
+    /// The robustness boundary around [`Engine::run`]: deadline check
+    /// (expired → [`ErrorCode::DeadlineExceeded`] before any work or
+    /// admission accounting), admission control for heavy kinds, the
+    /// `engine.dispatch` fault point, and panic isolation. A panicking
+    /// analysis becomes a typed [`ErrorCode::Internal`] reply (plus
+    /// `panics_total`) instead of unwinding into — and killing — the
+    /// connection thread; session locks absorb poisoning (`lockcheck`
+    /// locks recover the guard), so the engine stays serviceable
+    /// afterwards.
+    fn run_guarded(
         &self,
+        ctx: &RequestCtx,
         request: Request,
-        deadline: Option<&Deadline>,
     ) -> Result<(Response, bool), ApiError> {
-        let kind = request.kind();
-        span::set_kind(kind as u16);
-        let started = self.obs.start_timer();
-        let result = self.dispatch_guarded(request, deadline);
-        self.obs
-            .record_request(kind, started, result.as_ref().err().map(|e| e.code));
-        result
-    }
-
-    /// The robustness boundary around [`Engine::dispatch_inner`]:
-    /// deadline check, chaos fault point, admission control for heavy
-    /// kinds, and panic isolation. A panicking analysis becomes a typed
-    /// [`ErrorCode::Internal`] reply (plus `panics_total`) instead of
-    /// unwinding into — and killing — the connection thread; session
-    /// locks absorb poisoning (`lockcheck` locks recover the guard), so
-    /// the engine stays serviceable afterwards.
-    fn dispatch_guarded(
-        &self,
-        request: Request,
-        deadline: Option<&Deadline>,
-    ) -> Result<(Response, bool), ApiError> {
-        if let Some(deadline) = deadline {
-            if deadline.expired() {
-                self.obs.deadline_exceeded_total.inc();
-                return Err(ApiError::deadline_exceeded(deadline.budget_ms()));
-            }
+        if let Some(deadline) = ctx.deadline.filter(Deadline::expired) {
+            self.obs.deadline_exceeded_total.inc();
+            return Err(ApiError::deadline_exceeded(deadline.budget_ms()));
         }
         let _permit = if is_heavy(request.kind()) {
             Some(self.admit()?)
         } else {
             None
         };
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // The chaos consult sits inside the panic guard so an armed
             // `Policy::panic()` exercises the same isolation path as a
             // genuinely panicking analysis.
@@ -469,22 +465,20 @@ impl Engine {
                     "chaos: injected fault at engine.dispatch",
                 ));
             }
-            self.dispatch_inner(request)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.obs.panics_total.inc();
-                let what = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                Err(ApiError::new(
-                    ErrorCode::Internal,
-                    format!("request panicked: {what}"),
-                ))
-            }
-        }
+            self.run(request)
+        }))
+        .unwrap_or_else(|payload| {
+            self.obs.panics_total.inc();
+            let what = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            Err(ApiError::new(
+                ErrorCode::Internal,
+                format!("request panicked: {what}"),
+            ))
+        })
     }
 
     /// Reserve an in-flight slot for a heavy request, or shed with
@@ -504,127 +498,100 @@ impl Engine {
         Ok(InflightPermit { engine: self })
     }
 
-    fn dispatch_inner(&self, request: Request) -> Result<(Response, bool), ApiError> {
-        match request {
+    /// Answer one request, reporting whether an analysis response was
+    /// served entirely from the result cache. Analyses return their own
+    /// cache flag; every other response is never cache-served.
+    fn run(&self, request: Request) -> Result<(Response, bool), ApiError> {
+        let response = match request {
             Request::DriverImportanceView { session, verify } => {
-                self.run_analysis(session, AnalysisSpec::DriverImportance { verify })
+                return self.run_analysis(session, AnalysisSpec::DriverImportance { verify })
             }
             Request::SensitivityView {
                 session,
                 perturbations,
-            } => self.run_analysis(
-                session,
-                AnalysisSpec::Sensitivity {
-                    perturbations,
-                    clamp_non_negative: true,
-                },
-            ),
+            } => {
+                return self.run_analysis(
+                    session,
+                    AnalysisSpec::Sensitivity {
+                        perturbations,
+                        clamp_non_negative: true,
+                    },
+                )
+            }
             Request::ComparisonView {
                 session,
                 percentages,
-            } => self.run_analysis(session, AnalysisSpec::Comparison { percentages }),
+            } => return self.run_analysis(session, AnalysisSpec::Comparison { percentages }),
             Request::PerDataView {
                 session,
                 row,
                 perturbations,
-            } => self.run_analysis(session, AnalysisSpec::PerData { row, perturbations }),
+            } => return self.run_analysis(session, AnalysisSpec::PerData { row, perturbations }),
             Request::GoalInversionView {
                 session,
                 goal,
                 constraints,
                 optimizer,
                 seed,
-            } => self.run_analysis(
-                session,
-                AnalysisSpec::GoalInversion {
-                    goal,
-                    constraints,
-                    optimizer: optimizer.unwrap_or_default(),
-                    seed,
-                },
-            ),
+            } => {
+                return self.run_analysis(
+                    session,
+                    AnalysisSpec::GoalInversion {
+                        goal,
+                        constraints,
+                        optimizer: optimizer.unwrap_or_default(),
+                        seed,
+                    },
+                )
+            }
             Request::EvaluateScenarios {
                 session,
                 scenarios,
                 record,
                 n_threads,
             } => {
-                // Clone the Arc, drop the session lock, compute — the
-                // grid prices in parallel with any other analysis on
-                // this same session.
-                let model = self.shared_model(session)?;
                 let analysis = AnalysisSpec::Scenarios {
                     scenarios,
                     n_threads: n_threads
                         .unwrap_or(whatif_core::bulk::DEFAULT_SCENARIO_THREADS)
                         .max(1),
                 };
-                let (outcome, cached) = analysis.execute_cached(&model, &self.cache)?;
-                let SpecOutcome::Scenarios(outcomes) = outcome else {
-                    return Err(ApiError::new(
-                        ErrorCode::Internal,
-                        "scenario spec produced a non-scenario outcome",
-                    ));
-                };
-                let recorded_ids = if record {
-                    // Re-lock only to write the ledger; the session may
-                    // have been closed while we computed, which is the
-                    // one race a recording request must surface.
-                    self.with_session(session, |entry| Ok(entry.ledger.record_outcomes(&outcomes)))?
-                } else {
-                    Vec::new()
-                };
-                Ok((
-                    Response::ScenariosEvaluated {
-                        outcomes,
-                        recorded_ids,
-                    },
-                    cached,
-                ))
+                let (mut response, cached) = self.run_analysis(session, analysis)?;
+                if let Response::ScenariosEvaluated {
+                    outcomes,
+                    recorded_ids,
+                } = &mut response
+                {
+                    if record {
+                        // Re-lock only to write the ledger; the session
+                        // may have been closed while we computed, which
+                        // is the one race a recording request must
+                        // surface.
+                        *recorded_ids = self.with_session(session, |entry| {
+                            Ok(entry.ledger.record_outcomes(outcomes))
+                        })?;
+                    }
+                }
+                return Ok((response, cached));
             }
-            Request::CacheStats => Ok((Response::CacheStats(self.cache.stats()), false)),
-            Request::ModelStoreStats => Ok((Response::ModelStoreStats(self.models.stats()), false)),
-            Request::MetricsSnapshot => Ok((Response::Metrics(self.obs.snapshot()), false)),
-            Request::MetricsPrometheus => Ok((Response::MetricsText(self.obs.prometheus()), false)),
+            Request::CacheStats => Response::CacheStats(self.cache.stats()),
+            Request::ModelStoreStats => Response::ModelStoreStats(self.models.stats()),
+            Request::MetricsSnapshot => Response::Metrics(self.obs.snapshot()),
+            Request::MetricsPrometheus => Response::MetricsText(self.obs.prometheus()),
             Request::ConfigureCache {
                 capacity_bytes,
                 enabled,
             } => {
                 self.cache
                     .configure(capacity_bytes.map(|b| b as usize), enabled);
-                Ok((Response::CacheStats(self.cache.stats()), false))
+                Response::CacheStats(self.cache.stats())
             }
-            other => self.handle_plain(other).map(|response| (response, false)),
-        }
-    }
-
-    /// The non-analysis requests (never cache-served). The match over
-    /// the remaining variants is completed by `dispatch`'s arms — a new
-    /// [`Request`] variant fails to compile until one of the two
-    /// matches handles it.
-    fn handle_plain(&self, request: Request) -> Result<Response, ApiError> {
-        match request {
-            // Handled by `dispatch` before this method is reached.
-            Request::DriverImportanceView { .. }
-            | Request::SensitivityView { .. }
-            | Request::ComparisonView { .. }
-            | Request::PerDataView { .. }
-            | Request::GoalInversionView { .. }
-            | Request::EvaluateScenarios { .. }
-            | Request::CacheStats
-            | Request::ConfigureCache { .. }
-            | Request::ModelStoreStats
-            | Request::MetricsSnapshot
-            | Request::MetricsPrometheus => Err(ApiError::new(
-                ErrorCode::Internal,
-                "analysis/cache request routed past dispatch",
-            )),
-            Request::ListUseCases => Ok(Response::UseCases(
+            Request::ListUseCases => Response::UseCases(
                 UseCase::all()
                     .into_iter()
                     .map(|u| (u, u.label().to_owned()))
                     .collect(),
-            )),
+            ),
             Request::LoadUseCase {
                 use_case,
                 n_rows,
@@ -645,12 +612,13 @@ impl Engine {
                         (d.frame, d.kpi)
                     }
                 };
-                Ok(self.create_session(frame, Some(kpi)))
+                self.create_session(frame, Some(kpi))
             }
-            Request::LoadCsv { csv } => match whatif_frame::csv::parse_csv(&csv) {
-                Ok(frame) => Ok(self.create_session(frame, None)),
-                Err(e) => Err(ApiError::new(ErrorCode::Data, e.to_string())),
-            },
+            Request::LoadCsv { csv } => {
+                let frame = whatif_frame::csv::parse_csv(&csv)
+                    .map_err(|e| ApiError::new(ErrorCode::Data, e.to_string()))?;
+                self.create_session(frame, None)
+            }
             Request::TableView { session, max_rows } => self.with_session(session, |entry| {
                 let frame = entry.session.frame();
                 let shown = frame.n_rows().min(max_rows);
@@ -679,7 +647,7 @@ impl Engine {
                     rows,
                     total_rows: frame.n_rows(),
                 })
-            }),
+            })?,
             Request::SelectKpi { session, kpi } => self.with_session(session, |entry| {
                 let s = entry.session.clone().with_kpi(&kpi)?;
                 let kind = match s.kpi_kind()? {
@@ -692,7 +660,7 @@ impl Engine {
                     kpi,
                     kind: kind.to_owned(),
                 })
-            }),
+            })?,
             Request::SelectDrivers { session, drivers } => self.with_session(session, |entry| {
                 if let Some(drivers) = drivers {
                     let refs: Vec<&str> = drivers.iter().map(String::as_str).collect();
@@ -702,7 +670,7 @@ impl Engine {
                 Ok(Response::Drivers {
                     selected: entry.session.drivers().to_vec(),
                 })
-            }),
+            })?,
             Request::Train { session, config } => self.with_session(session, |entry| {
                 let config = config.unwrap_or_default();
                 // Train-once dedup: an identical training request
@@ -726,7 +694,7 @@ impl Engine {
                 };
                 entry.model = Some(model);
                 Ok(response)
-            }),
+            })?,
             Request::RecordScenario { session, name } => {
                 self.with_session(session, |entry| match &entry.last_outcome {
                     Some(LastOutcome::Sensitivity(r)) => Ok(Response::ScenarioRecorded {
@@ -739,7 +707,7 @@ impl Engine {
                         ErrorCode::BadRequest,
                         "no sensitivity or goal-inversion outcome to record yet",
                     )),
-                })
+                })?
             }
             Request::ListScenarios { session } => self.with_session(session, |entry| {
                 Ok(Response::Scenarios(
@@ -750,18 +718,19 @@ impl Engine {
                         .cloned()
                         .collect(),
                 ))
-            }),
+            })?,
             Request::CloseSession { session } => {
-                if self.sessions.remove(session) {
-                    self.obs.sessions_open.dec();
-                    Ok(Response::SessionClosed)
-                } else {
-                    Err(ApiError::unknown_session(session))
+                if !self.sessions.remove(session) {
+                    return Err(ApiError::unknown_session(session));
                 }
+                self.obs.sessions_open.dec();
+                Response::SessionClosed
             }
-            Request::Shutdown => Ok(Response::ShuttingDown),
-            Request::Batch(_) => Err(ApiError::bad_request("batches do not nest")),
-        }
+            Request::Shutdown => Response::ShuttingDown,
+            // `execute` runs batches itself; one reaching here is nested.
+            Request::Batch(_) => return Err(ApiError::bad_request("batches do not nest")),
+        };
+        Ok((response, false))
     }
 
     /// Execute an analysis spec against a session's trained model
@@ -974,6 +943,29 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);
+
+        // Re-selecting the KPI or the drivers drops the trained model.
+        let trained = load_and_train(&engine, 220, 3);
+        for reselect in [
+            Request::SelectKpi {
+                session: trained,
+                kpi: "Deal Closed?".into(),
+            },
+            Request::SelectDrivers {
+                session: trained,
+                drivers: Some(vec!["Call".into(), "Chat".into()]),
+            },
+        ] {
+            train_reply(&engine, trained);
+            engine.handle(reselect).unwrap();
+            let err = engine
+                .handle(Request::DriverImportanceView {
+                    session: trained,
+                    verify: false,
+                })
+                .unwrap_err();
+            assert_eq!(err.code, ErrorCode::NotTrained);
+        }
     }
 
     #[test]
@@ -1033,6 +1025,25 @@ mod tests {
         assert_eq!(replies.len(), 2, "third step never ran");
         assert!(!replies[0].is_error());
         assert!(replies[1].is_error());
+
+        // An expired deadline fails the first step, not the batch.
+        let expired = Envelope::new(
+            5,
+            Request::Batch(vec![Request::ListUseCases, Request::ListUseCases]),
+        )
+        .with_deadline_ms(0);
+        let reply = engine.handle_envelope(expired);
+        assert_eq!(reply.id, 5);
+        let Ok(Response::Batch(replies)) = reply.into_result() else {
+            panic!("an expired batch still answers as a batch");
+        };
+        assert_eq!(replies.len(), 1, "the failed first step ends the batch");
+        assert_eq!(replies[0].id, 5);
+        assert_eq!(
+            replies[0].error.as_ref().map(|e| e.code),
+            Some(ErrorCode::DeadlineExceeded)
+        );
+        assert_eq!(engine.obs().deadline_exceeded_total.get(), 1);
     }
 
     #[test]
@@ -1320,6 +1331,38 @@ mod tests {
     }
 
     #[test]
+    fn constrained_goal_inversion_stays_in_bounds_and_records() {
+        let engine = Engine::new();
+        let session = load_and_train(&engine, 220, 3);
+        let Ok(Response::GoalInversion(goal)) = engine.handle(Request::GoalInversionView {
+            session,
+            goal: whatif_core::goal::Goal::Maximize,
+            constraints: vec![whatif_core::DriverConstraint::new(
+                "Open Marketing Email",
+                40.0,
+                80.0,
+            )],
+            optimizer: Some(whatif_core::OptimizerChoice::RandomSearch { n_evals: 12 }),
+            seed: 1,
+        }) else {
+            panic!("expected GoalInversion");
+        };
+        let ome = goal
+            .driver_percentages
+            .iter()
+            .find(|(d, _)| d == "Open Marketing Email");
+        assert!(
+            ome.is_some_and(|(_, pct)| (40.0..=80.0).contains(pct)),
+            "{ome:?}"
+        );
+        let recorded = engine.handle(Request::RecordScenario {
+            session,
+            name: "goal".into(),
+        });
+        assert!(matches!(recorded, Ok(Response::ScenarioRecorded { id: 0 })));
+    }
+
+    #[test]
     fn repeated_analyses_hit_the_cache_and_mark_replies() {
         let engine = Engine::new();
         let session = load_and_train(&engine, 220, 3);
@@ -1461,8 +1504,8 @@ mod tests {
             train_reply(&engine, sessions[0]),
             ("random_forest".into(), false)
         );
-        assert_eq!(train_reply(&engine, sessions[1]).1, true);
-        assert_eq!(train_reply(&engine, sessions[2]).1, true);
+        assert!(train_reply(&engine, sessions[1]).1);
+        assert!(train_reply(&engine, sessions[2]).1);
         let Ok(Response::ModelStoreStats(stats)) = engine.handle(Request::ModelStoreStats) else {
             panic!("expected ModelStoreStats");
         };

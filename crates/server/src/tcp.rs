@@ -44,6 +44,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use whatif_core::ErrorCode;
 use whatif_obs::lockcheck::Mutex;
 use whatif_obs::{clock, logger, Counter, Level, Record};
 
@@ -449,7 +450,8 @@ fn serve_json_lines(
             Some(BoundedLine::TooLong { discarded }) => {
                 // The overlong line was drained without buffering; the
                 // sender gets a typed error and the connection lives on.
-                let error = crate::protocol::ApiError::bad_request(format!(
+                engine.obs().record_error(ErrorCode::BadRequest);
+                let error = ApiError::bad_request(format!(
                     "request line of {discarded} bytes exceeds the {}-byte limit",
                     whatif_wire::MAX_FRAME_BYTES
                 ));
@@ -742,6 +744,35 @@ mod tests {
         let mut r = BufReader::new(&data[..]);
         let err = read_bounded_line(&mut r, 64).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn overlong_json_lines_are_answered_and_counted() {
+        let engine = Engine::new();
+        let overlong = std::io::repeat(b'x').take(whatif_wire::MAX_FRAME_BYTES as u64 + 1);
+        let mut reader = BufReader::new(overlong.chain(&b"\n\"ListUseCases\"\n"[..]));
+        let mut out = Vec::new();
+        let shutdown = serve_json_lines(
+            &mut reader,
+            &mut out,
+            &engine,
+            &AtomicBool::new(false),
+            &AtomicUsize::new(0),
+        )
+        .unwrap();
+        assert!(!shutdown);
+        let out = String::from_utf8(out).unwrap();
+        let replies: Vec<Response> = out.lines().map(|l| decode_line(l).unwrap()).collect();
+        assert_eq!(replies.len(), 2, "{out}");
+        assert_eq!(
+            replies[0].as_error().map(|e| e.code),
+            Some(ErrorCode::BadRequest)
+        );
+        assert!(matches!(replies[1], Response::UseCases(_)));
+        assert_eq!(
+            engine.metrics_snapshot().counter("error.bad_request.count"),
+            Some(1)
+        );
     }
 
     #[test]

@@ -23,11 +23,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::engine::{Deadline, Engine};
+use crate::engine::{Deadline, Engine, RequestCtx};
 use crate::obs::EngineObs;
 use crate::protocol::{ApiError, Envelope, Reply, Request, Response};
 use crate::tcp::BusyGuard;
-use whatif_core::bulk::ScenarioSpec;
+use whatif_core::bulk::{ScenarioOutcome, ScenarioSpec};
 use whatif_core::perturbation::{Perturbation, PerturbationSet};
 use whatif_core::ErrorCode;
 use whatif_obs::span;
@@ -151,8 +151,8 @@ fn emit(
     Ok(n)
 }
 
-/// Write a `ScenariosEvaluated` response as a bounded frame stream:
-/// head, `ceil(total / DEFAULT_BLOCK_ROWS)` KPI blocks, end marker.
+/// Write scenario outcomes as a bounded frame stream: head,
+/// `ceil(total / DEFAULT_BLOCK_ROWS)` KPI blocks, end marker.
 ///
 /// The request's deadline (when it carried one) is re-checked between
 /// blocks: a slow or backpressured consumer cannot stretch an expired
@@ -163,25 +163,11 @@ fn stream_outcomes(
     w: &mut impl Write,
     obs: &EngineObs,
     id: u64,
-    response: &Response,
+    outcomes: &[ScenarioOutcome],
+    recorded_ids: &[u64],
     prefer: Compression,
     deadline: Option<&Deadline>,
 ) -> Result<(), WireError> {
-    let Response::ScenariosEvaluated {
-        outcomes,
-        recorded_ids,
-    } = response
-    else {
-        // The engine answered EvaluateScenarios with something else —
-        // an internal invariant violation, reported as a typed error.
-        let (ft, payload) = error_frame(
-            id,
-            ErrorCode::Internal,
-            "scenario evaluation produced a non-scenario response",
-        );
-        emit(w, obs, ft, &payload, prefer)?;
-        return Ok(());
-    };
     let recorded = !recorded_ids.is_empty();
     if recorded && recorded_ids.len() != outcomes.len() {
         // Misaligned ledger ids would panic the block slicing below;
@@ -245,6 +231,10 @@ fn stream_outcomes(
 
 /// Execute one decoded request and write its reply frame(s). Returns
 /// whether the request was an acknowledged shutdown.
+///
+/// A frame has one deadline, starting now: it gates dispatch and paces
+/// the outcome stream. Opcode 1 (`Json`) is the exception: only an
+/// embedded v2 envelope's `deadline_ms`, if any, applies to it.
 fn answer(
     w: &mut impl Write,
     engine: &Engine,
@@ -252,144 +242,97 @@ fn answer(
     prefer: Compression,
 ) -> Result<bool, WireError> {
     let obs = engine.obs();
-    let id = request.id;
-    // The v3 deadline starts when the frame is decoded. The envelope
-    // below re-derives its own deadline at dispatch (the budgets are
-    // measured from nearly the same instant); this one also paces the
-    // outcome stream between blocks.
-    let deadline = (request.deadline_ms > 0).then(|| Deadline::starting_now(request.deadline_ms));
-    let with_deadline = |mut envelope: Envelope| {
-        if request.deadline_ms > 0 {
-            envelope.deadline_ms = Some(request.deadline_ms);
-        }
-        envelope
+    let WireRequest {
+        id,
+        body,
+        deadline_ms,
+    } = request;
+    let ctx = RequestCtx {
+        id,
+        deadline: (deadline_ms > 0).then(|| Deadline::starting_now(deadline_ms)),
     };
-    match request.body {
+    let request = match body {
         RequestBody::Json(json) => {
             // The universal fallback: any v1/v2 request rides v3
-            // framing; the reply is the enveloped JSON line. A JSON
-            // body carries its own envelope, so a frame-level deadline
-            // is not re-imposed here.
+            // framing; the reply is the enveloped JSON line.
             let (line, shutdown) = engine.dispatch_line(&json);
             let reply = WireReply {
                 id,
                 body: ReplyBody::Json(line),
             };
             emit(w, obs, FrameType::Reply, &reply.encode(), prefer)?;
-            Ok(shutdown)
+            return Ok(shutdown);
         }
-        RequestBody::Scenarios(grid) => {
-            let specs = match grid_to_specs(&grid) {
-                Ok(specs) => specs,
-                Err(e) => {
-                    obs.record_error(e.code);
-                    let (ft, payload) = api_error_frame(id, &e);
-                    emit(w, obs, ft, &payload, prefer)?;
-                    return Ok(false);
-                }
-            };
-            let reply = engine.handle_envelope(with_deadline(Envelope::new(
-                id,
-                Request::EvaluateScenarios {
-                    session: grid.session,
-                    scenarios: specs,
-                    record: grid.record,
-                    n_threads: (grid.n_threads > 0).then_some(u32_to_usize(grid.n_threads)),
-                },
-            )));
-            match (reply.result, reply.error) {
-                (Some(response), _) => {
-                    stream_outcomes(w, obs, id, &response, prefer, deadline.as_ref())?;
-                }
-                (None, error) => {
-                    let error = error.unwrap_or_else(|| {
-                        ApiError::new(
-                            ErrorCode::Internal,
-                            "reply carried neither result nor error",
-                        )
-                    });
-                    let (ft, payload) = api_error_frame(id, &error);
-                    emit(w, obs, ft, &payload, prefer)?;
-                }
+        RequestBody::Scenarios(grid) => match grid_to_specs(&grid) {
+            Ok(scenarios) => Request::EvaluateScenarios {
+                session: grid.session,
+                scenarios,
+                record: grid.record,
+                n_threads: (grid.n_threads > 0).then_some(u32_to_usize(grid.n_threads)),
+            },
+            Err(e) => {
+                obs.record_error(e.code);
+                let (ft, payload) = api_error_frame(id, &e);
+                emit(w, obs, ft, &payload, prefer)?;
+                return Ok(false);
             }
-            Ok(false)
-        }
-        RequestBody::LoadCsv { csv } => {
-            let reply =
-                engine.handle_envelope(with_deadline(Envelope::new(id, Request::LoadCsv { csv })));
-            write_reply_or_error(w, obs, id, reply, prefer)?;
-            Ok(false)
-        }
-        RequestBody::Comparison(cmp) => {
-            let reply = engine.handle_envelope(with_deadline(Envelope::new(
-                id,
-                Request::ComparisonView {
-                    session: cmp.session,
-                    percentages: cmp.percentages,
-                },
-            )));
-            match (reply.result, reply.error) {
-                (Some(Response::Comparison(curves)), _) => {
-                    let body = ComparisonReply {
-                        percentages: curves
-                            .first()
-                            .map(|c| c.percentages.clone())
-                            .unwrap_or_default(),
-                        drivers: curves.iter().map(|c| c.driver.clone()).collect(),
-                        kpi_columns: curves.into_iter().map(|c| c.kpi_values).collect(),
-                    };
-                    let reply = WireReply {
-                        id,
-                        body: ReplyBody::Comparison(body),
-                    };
-                    emit(w, obs, FrameType::Reply, &reply.encode(), prefer)?;
-                }
-                (Some(_), _) => {
-                    let (ft, payload) = error_frame(
-                        id,
-                        ErrorCode::Internal,
-                        "comparison produced a non-comparison response",
-                    );
-                    emit(w, obs, ft, &payload, prefer)?;
-                }
-                (None, error) => {
-                    let error = error.unwrap_or_else(|| {
-                        ApiError::new(
-                            ErrorCode::Internal,
-                            "reply carried neither result nor error",
-                        )
-                    });
-                    let (ft, payload) = api_error_frame(id, &error);
-                    emit(w, obs, ft, &payload, prefer)?;
-                }
-            }
-            Ok(false)
-        }
-    }
-}
-
-/// Serialize a generic envelope [`Reply`] as a JSON reply frame on
-/// success or a typed error frame on failure.
-fn write_reply_or_error(
-    w: &mut impl Write,
-    obs: &EngineObs,
-    id: u64,
-    reply: Reply,
-    prefer: Compression,
-) -> Result<(), WireError> {
-    if let Some(error) = &reply.error {
-        let (ft, payload) = api_error_frame(id, error);
-        emit(w, obs, ft, &payload, prefer)?;
-        return Ok(());
-    }
-    let json = serde_json::to_string(&reply)
-        .map_err(|e| WireError::Corrupt(format!("reply serialization failed: {e}")))?;
-    let wire_reply = WireReply {
-        id,
-        body: ReplyBody::Json(json),
+        },
+        RequestBody::LoadCsv { csv } => Request::LoadCsv { csv },
+        RequestBody::Comparison(cmp) => Request::ComparisonView {
+            session: cmp.session,
+            percentages: cmp.percentages,
+        },
     };
-    emit(w, obs, FrameType::Reply, &wire_reply.encode(), prefer)?;
-    Ok(())
+    // The response variant follows from the request built above:
+    // scenario outcomes stream, a comparison travels columnar, and
+    // anything else (a `LoadCsv` session) is the enveloped JSON reply.
+    let (frame_type, payload) = match engine.execute(&ctx, request) {
+        Ok((
+            Response::ScenariosEvaluated {
+                outcomes,
+                recorded_ids,
+            },
+            _,
+        )) => {
+            stream_outcomes(
+                w,
+                obs,
+                id,
+                &outcomes,
+                &recorded_ids,
+                prefer,
+                ctx.deadline.as_ref(),
+            )?;
+            return Ok(false);
+        }
+        Ok((Response::Comparison(curves), _)) => {
+            let body = ComparisonReply {
+                percentages: curves
+                    .first()
+                    .map(|c| c.percentages.clone())
+                    .unwrap_or_default(),
+                drivers: curves.iter().map(|c| c.driver.clone()).collect(),
+                kpi_columns: curves.into_iter().map(|c| c.kpi_values).collect(),
+            };
+            let reply = WireReply {
+                id,
+                body: ReplyBody::Comparison(body),
+            };
+            (FrameType::Reply, reply.encode())
+        }
+        Ok((response, _)) => {
+            let json = serde_json::to_string(&Reply::ok(id, response))
+                .map_err(|e| WireError::Corrupt(format!("reply serialization failed: {e}")))?;
+            let reply = WireReply {
+                id,
+                body: ReplyBody::Json(json),
+            };
+            (FrameType::Reply, reply.encode())
+        }
+        Err(error) => api_error_frame(id, &error),
+    };
+    emit(w, obs, frame_type, &payload, prefer)?;
+    Ok(false)
 }
 
 /// Serve one sniffed-as-v3 connection until EOF, a fatal transport
@@ -1138,8 +1081,6 @@ mod tests {
 
     #[test]
     fn misaligned_ledger_ids_become_a_typed_internal_error() {
-        use whatif_core::bulk::ScenarioOutcome;
-
         // Two outcomes but only one recorded id: an engine invariant
         // violation that must answer with an Error frame, not panic.
         let outcome = |name: &str| ScenarioOutcome {
@@ -1148,17 +1089,15 @@ mod tests {
             kpi: 0.5,
             baseline_kpi: 0.4,
         };
-        let response = Response::ScenariosEvaluated {
-            outcomes: vec![outcome("a"), outcome("b")],
-            recorded_ids: vec![7],
-        };
+        let outcomes = vec![outcome("a"), outcome("b")];
         let engine = Engine::new();
         let mut out = Vec::new();
         stream_outcomes(
             &mut out,
             engine.obs(),
             3,
-            &response,
+            &outcomes,
+            &[7],
             Compression::None,
             None,
         )
