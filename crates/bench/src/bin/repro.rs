@@ -22,7 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "u3-deal",
     "opt-compare",
     "robustness",
-    "store",
     "train",
     "predict",
     "wire",
@@ -88,9 +87,6 @@ fn main() {
     }
     if should("robustness") {
         robustness(scale, seed);
-    }
-    if should("store") {
-        store(scale, seed);
     }
     if should("train") {
         train(scale, seed);
@@ -347,26 +343,6 @@ fn opt_compare(scale: Scale, seed: u64) {
         println!();
     }
     println!("(cells are best deal-close KPI found at that evaluation budget)");
-}
-
-fn store(scale: Scale, seed: u64) {
-    header("store — train-once dedup + lock-free dispatch (ROADMAP scale track)");
-    let r = experiments::store_bench(scale, seed);
-    println!(
-        "train dedup:  {:.2}x over {} sessions ({:.1} ms/train -> {:.3} ms/share)",
-        r.train_dedup_speedup, r.n_sessions, r.per_session_train_ms, r.share_ms
-    );
-    println!(
-        "dispatch:     {:.2}x with {} workers x {} evals \
-         ({:.1} ms locked -> {:.1} ms lock-free)",
-        r.dispatch_speedup,
-        r.dispatch_workers,
-        r.evals_per_worker,
-        r.locked_dispatch_ms,
-        r.lock_free_dispatch_ms
-    );
-    experiments::write_store_bench_json("BENCH_store.json", &r).expect("write BENCH_store.json");
-    println!("wrote BENCH_store.json");
 }
 
 fn train(scale: Scale, seed: u64) {

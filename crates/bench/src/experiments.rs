@@ -426,137 +426,6 @@ pub fn slider_loop(
     }
 }
 
-/// Machine-readable report of the model-store benchmarks, written to
-/// `BENCH_store.json` by `benches/bench_store.rs` (and the `repro`
-/// binary's `store` experiment) so the ROADMAP's perf trajectory has
-/// data points instead of terminal scrollback.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct StoreBenchReport {
-    /// Sessions simulated against one shared training request.
-    pub n_sessions: usize,
-    /// Wall ms for the one real training (the store's first miss).
-    pub train_once_ms: f64,
-    /// Mean wall ms for each later session's store *share*.
-    pub share_ms: f64,
-    /// Mean wall ms to train per-session (the pre-store behavior).
-    pub per_session_train_ms: f64,
-    /// N per-session trainings over (1 training + N−1 shares).
-    pub train_dedup_speedup: f64,
-    /// Concurrent workers in the slider-dispatch measurement.
-    pub dispatch_workers: usize,
-    /// Distinct sensitivity evaluations per worker.
-    pub evals_per_worker: usize,
-    /// Wall ms with analyses serialized under one per-session lock —
-    /// the pre-lock-free dispatch, emulated by wrapping each
-    /// evaluation in a shared mutex.
-    pub locked_dispatch_ms: f64,
-    /// Wall ms with today's dispatch: clone the `Arc`, release the
-    /// lock, compute in parallel.
-    pub lock_free_dispatch_ms: f64,
-    /// `locked_dispatch_ms / lock_free_dispatch_ms`.
-    pub dispatch_speedup: f64,
-}
-
-/// Run both model-store benchmarks: train-once dedup speedup across
-/// `n_sessions` identical sessions, and the concurrent slider-loop
-/// wall-clock with dispatch serialized (the old per-session lock held
-/// across evaluation) vs lock-free (today's clone-the-`Arc` dispatch).
-///
-/// # Panics
-/// Panics on internal errors — experiments are top-level binaries and a
-/// failure should abort loudly.
-pub fn store_bench(scale: Scale, seed: u64) -> StoreBenchReport {
-    use std::sync::{Arc, Mutex};
-    use std::time::Instant;
-    use whatif_core::store::ModelStore;
-
-    let n_sessions = 4usize;
-    let dataset = deal_closing(scale.deal_rows(), seed);
-    let config = scale.model_config();
-    let session = || {
-        Session::new(dataset.frame.clone())
-            .with_kpi(&dataset.kpi)
-            .expect("KPI exists")
-    };
-
-    // Pre-store behavior: every session trains its own copy.
-    let t = Instant::now();
-    for _ in 0..n_sessions {
-        session().train(&config).expect("training succeeds");
-    }
-    let per_session_train_ms = ms(t.elapsed()) / n_sessions as f64;
-
-    // Store behavior: one training, N−1 shares.
-    let store = ModelStore::default();
-    let t = Instant::now();
-    let (_, shared) = store.train_or_share(&session(), &config).expect("trains");
-    let train_once_ms = ms(t.elapsed());
-    assert!(!shared, "first request trains");
-    let t = Instant::now();
-    for _ in 1..n_sessions {
-        let (_, shared) = store.train_or_share(&session(), &config).expect("shares");
-        assert!(shared, "later requests share");
-    }
-    let share_ms = ms(t.elapsed()) / (n_sessions - 1) as f64;
-    let train_dedup_speedup = (per_session_train_ms * n_sessions as f64)
-        / (train_once_ms + share_ms * (n_sessions - 1) as f64);
-
-    // Concurrent dispatch: W workers sweep disjoint slider stops on the
-    // *same* shared model. `locked` emulates the old engine, which held
-    // the session's lock for the whole evaluation. The model predicts
-    // single-threaded (`n_threads: 1`) so the measurement isolates
-    // dispatch-level parallelism — a many-session server keeps exactly
-    // one level of fan-out, and with the per-model thread pool also
-    // running, the locked path would hide its serialization behind the
-    // model's own workers.
-    let model = session()
-        .train(&ModelConfig {
-            n_threads: 1,
-            ..config.clone()
-        })
-        .expect("training succeeds");
-    let dispatch_workers = 4usize;
-    let evals_per_worker = 6usize;
-    let dispatch_ms = |locked: bool| -> f64 {
-        let gate = Arc::new(Mutex::new(()));
-        let t = Instant::now();
-        std::thread::scope(|scope| {
-            for w in 0..dispatch_workers {
-                let model = &model;
-                let gate = gate.clone();
-                scope.spawn(move || {
-                    for e in 0..evals_per_worker {
-                        let pct = 1.0 + (w * evals_per_worker + e) as f64;
-                        let set = PerturbationSet::new(vec![Perturbation::percentage(
-                            model.driver_names()[0].clone(),
-                            pct,
-                        )]);
-                        let guard = locked.then(|| gate.lock().unwrap());
-                        model.sensitivity(&set).expect("valid driver");
-                        drop(guard);
-                    }
-                });
-            }
-        });
-        ms(t.elapsed())
-    };
-    let locked_dispatch_ms = dispatch_ms(true);
-    let lock_free_dispatch_ms = dispatch_ms(false);
-
-    StoreBenchReport {
-        n_sessions,
-        train_once_ms,
-        share_ms,
-        per_session_train_ms,
-        train_dedup_speedup,
-        dispatch_workers,
-        evals_per_worker,
-        locked_dispatch_ms,
-        lock_free_dispatch_ms,
-        dispatch_speedup: locked_dispatch_ms / lock_free_dispatch_ms,
-    }
-}
-
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -565,15 +434,6 @@ fn write_json<T: serde::Serialize>(path: &str, report: &T) -> std::io::Result<()
     let json = serde_json::to_string(report)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     std::fs::write(path, json + "\n")
-}
-
-/// Serialize a [`StoreBenchReport`] to `path` as JSON (the
-/// `BENCH_store.json` emitter).
-///
-/// # Errors
-/// Propagated I/O errors from writing the file.
-pub fn write_store_bench_json(path: &str, report: &StoreBenchReport) -> std::io::Result<()> {
-    write_json(path, report)
 }
 
 /// The forest configuration the what-if model backend would use at this
@@ -1688,31 +1548,6 @@ pub fn robustness(scale: Scale, base_seed: u64) -> RobustnessExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn store_bench_report_is_sane_and_serializable() {
-        let r = store_bench(Scale::Quick, 7);
-        assert_eq!(r.n_sessions, 4);
-        assert!(r.train_once_ms > 0.0);
-        assert!(r.per_session_train_ms > 0.0);
-        assert!(
-            r.share_ms < r.per_session_train_ms,
-            "a share ({} ms) must undercut a training ({} ms)",
-            r.share_ms,
-            r.per_session_train_ms
-        );
-        assert!(
-            r.train_dedup_speedup > 1.0,
-            "dedup speedup {}",
-            r.train_dedup_speedup
-        );
-        assert!(r.locked_dispatch_ms > 0.0 && r.lock_free_dispatch_ms > 0.0);
-        // The emitter roundtrips through JSON.
-        let json = serde_json::to_string(&r).unwrap();
-        let back: StoreBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_sessions, r.n_sessions);
-        assert_eq!(back.train_dedup_speedup, r.train_dedup_speedup);
-    }
 
     #[test]
     fn train_bench_report_is_sane_and_serializable() {

@@ -156,7 +156,7 @@ impl TrainedModel {
     /// Run goal inversion under `config`.
     ///
     /// # Errors
-    /// [`CoreError`] on invalid constraints or optimizer failures.
+    /// [`crate::CoreError`] on invalid constraints or optimizer failures.
     pub fn goal_inversion(&self, config: &GoalConfig) -> Result<GoalInversionResult> {
         let bounds = build_bounds(
             self,

@@ -1,17 +1,30 @@
 //! Model training backend: the paper's model-selection rule and the
 //! fitted-model handle every analysis runs through.
+//!
+//! Every prediction an analysis makes goes through
+//! [`TrainedModel::predict_batch_into`]. That one call site routes the
+//! views that move a single driver of the training matrix — slider
+//! stops, comparison sweeps, goal-seek probes, single-driver scenarios,
+//! uncertainty intervals — to the tree ensembles' delta kernel, which
+//! walks only the (row, tree) pairs the move can send to another leaf.
+//! Each model builds the [`LeafTable`] that kernel needs on its first
+//! such view and keeps it for its lifetime; the store charges for it up
+//! front. Dense input and multi-driver views (goal inversion, scenario
+//! grids) take the full kernel. Both give the same bits, so
+//! fingerprints and cache keys do not depend on the route.
 
 use crate::error::{CoreError, Result};
 use crate::kpi::KpiKind;
 use crate::perturbation::{PerturbationPlan, PerturbationSet};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use whatif_cache::{CacheWeight, Fingerprint, Hasher128};
 use whatif_learn::forest::ForestConfig;
 use whatif_learn::metrics::{accuracy, r2_score, roc_auc};
 use whatif_learn::model::{Classifier, Predictor, Regressor};
 use whatif_learn::split::train_test_split;
 use whatif_learn::tree::TreeConfig;
-use whatif_learn::MatrixView;
+use whatif_learn::{ColumnOverlay, LeafTable, MatrixView};
 use whatif_learn::{
     GbdtClassifier, GbdtConfig, GbdtRegressor, LinearRegression, LogisticRegression, Matrix,
     RandomForestClassifier, RandomForestRegressor, Trainer,
@@ -171,6 +184,17 @@ impl FittedModel {
             FittedModel::GbdtRegressor(m) => m,
         }
     }
+
+    /// Trees in the ensemble; `None` for the linear families.
+    fn n_trees(&self) -> Option<usize> {
+        match self {
+            FittedModel::Linear(_) | FittedModel::Logistic(_) => None,
+            FittedModel::ForestClassifier(m) => Some(m.n_trees()),
+            FittedModel::ForestRegressor(m) => Some(m.n_trees()),
+            FittedModel::GbdtClassifier(m) => Some(m.n_trees()),
+            FittedModel::GbdtRegressor(m) => Some(m.n_trees()),
+        }
+    }
 }
 
 /// A fitted driver→KPI model plus everything the four analyses need:
@@ -190,6 +214,9 @@ pub struct TrainedModel {
     confidence: f64,
     baseline_kpi: f64,
     fingerprint: Fingerprint,
+    /// The leaf table of `x`, built on the first one-driver view; `None`
+    /// inside when the model has none (linear families, oversized trees).
+    leaf_table: OnceLock<Option<LeafTable>>,
 }
 
 impl TrainedModel {
@@ -268,6 +295,7 @@ impl TrainedModel {
             confidence,
             baseline_kpi,
             fingerprint,
+            leaf_table: OnceLock::new(),
         })
     }
 
@@ -368,10 +396,38 @@ impl TrainedModel {
     /// Batched predictions into a caller-owned buffer (hot paths reuse
     /// the buffer across scenarios).
     ///
+    /// Every view of the model is scored here. An overlay of this
+    /// model's own training matrix that replaces exactly one column
+    /// takes the delta path on a tree ensemble: the first such view
+    /// builds the model's [`LeafTable`], and every one after reuses it
+    /// ([`whatif_learn::Predictor::predict_delta`]). Dense input,
+    /// overlays of other matrices and overlays that move two or more
+    /// columns take the full kernel. Both paths give the same bits.
+    ///
     /// # Errors
     /// Propagated prediction errors (wrong column count / buffer size).
     pub fn predict_batch_into(&self, view: MatrixView<'_>, out: &mut [f64]) -> Result<()> {
-        Ok(self.model.predictor().predict_batch(view, out)?)
+        let predictor = self.model.predictor();
+        if let Some(overlay) = self.one_driver_overlay(view) {
+            let table = self
+                .leaf_table
+                .get_or_init(|| predictor.leaf_table(&self.x));
+            if let Some(table) = table {
+                return Ok(predictor.predict_delta(table, overlay, out)?);
+            }
+        }
+        Ok(predictor.predict_batch(view, out)?)
+    }
+
+    /// `view` as an overlay of this model's training matrix that
+    /// replaces exactly one column: the views the delta path scores.
+    fn one_driver_overlay<'v>(&self, view: MatrixView<'v>) -> Option<&'v ColumnOverlay<'v>> {
+        match view {
+            MatrixView::Overlay(o) if o.n_overridden() == 1 && std::ptr::eq(o.base(), &self.x) => {
+                Some(o)
+            }
+            _ => None,
+        }
     }
 
     /// The KPI (mean prediction) of any matrix view.
@@ -586,7 +642,9 @@ fn write_training_inputs(
 /// retained training matrix and targets; fitted parameters are
 /// estimated (forests charge a per-tree node-count bound — bootstrap
 /// leaves capped by the depth limit — since trees don't expose exact
-/// arena sizes).
+/// arena sizes). Tree ensembles also pay for their leaf table up
+/// front, 2 bytes per (row, tree), whether or not a one-driver view has
+/// built it yet: an entry's weight never changes while it is stored.
 impl CacheWeight for TrainedModel {
     fn weight_bytes(&self) -> usize {
         let data = (self.x.n_rows() * self.x.n_cols() + self.y.len()) * 8;
@@ -605,7 +663,11 @@ impl CacheWeight for TrainedModel {
             FittedModel::GbdtClassifier(m) => m.n_nodes() * 24,
             FittedModel::GbdtRegressor(m) => m.n_nodes() * 24,
         };
-        data + names + fitted + self.kpi_name.len()
+        let leaf_table = self
+            .model
+            .n_trees()
+            .map_or(0, |trees| self.x.n_rows() * trees * 2);
+        data + names + fitted + leaf_table + self.kpi_name.len()
     }
 }
 
@@ -1109,6 +1171,118 @@ mod tests {
         )
         .unwrap();
         assert!(f.weight_bytes() > m.weight_bytes());
+    }
+
+    #[test]
+    fn weight_bytes_charges_the_leaf_table_up_front() {
+        let (x, y) = binary_data();
+        let rows = x.n_rows();
+        let names_bytes: usize = names()
+            .iter()
+            .map(|n| n.len() + std::mem::size_of::<String>())
+            .sum();
+        let floor = (rows * x.n_cols() + rows) * 8 + names_bytes + "won".len();
+        let fit = |kind: ModelKind| {
+            let cfg = ModelConfig {
+                kind,
+                n_trees: 20,
+                ..ModelConfig::default()
+            };
+            TrainedModel::fit("won", KpiKind::Binary, names(), x.clone(), y.clone(), &cfg).unwrap()
+        };
+        let forest = fit(ModelKind::RandomForest);
+        let table = rows * 20 * 2;
+        assert_eq!(
+            forest.weight_bytes(),
+            floor + forest_bytes(20, rows) + table
+        );
+        let gbdt = fit(ModelKind::Gbdt);
+        let FittedModel::GbdtClassifier(g) = &gbdt.model else {
+            panic!("a GBDT model")
+        };
+        assert_eq!(
+            gbdt.weight_bytes(),
+            floor + g.n_nodes() * 24 + rows * g.n_trees() * 2
+        );
+        // The charge covers the table that gets built, and building it
+        // does not change the weight the store already recorded.
+        let before = forest.weight_bytes();
+        let mut one = ColumnOverlay::new(forest.matrix());
+        one.map_col(0, |v| v + 1.0).unwrap();
+        forest.kpi_for_view(MatrixView::Overlay(&one)).unwrap();
+        let built = forest.leaf_table.get().and_then(Option::as_ref).unwrap();
+        assert_eq!(built.n_rows() * built.n_trees() * 2, table);
+        assert_eq!(forest.weight_bytes(), before);
+        // Linear families pay for no table.
+        let logistic = fit(ModelKind::Logistic);
+        assert_eq!(
+            logistic.weight_bytes(),
+            floor + 3 * 8 + std::mem::size_of::<FittedModel>()
+        );
+    }
+
+    #[test]
+    fn only_one_driver_overlays_of_the_training_matrix_take_the_delta_path() {
+        let (x, y) = binary_data();
+        let cfg = ModelConfig {
+            n_trees: 12,
+            ..ModelConfig::default()
+        };
+        let m = TrainedModel::fit("won", KpiKind::Binary, names(), x, y, &cfg).unwrap();
+        let full = |view: MatrixView<'_>| {
+            let mut out = vec![0.0; view.n_rows()];
+            m.predictor().predict_batch(view, &mut out).unwrap();
+            out
+        };
+        let same = |a: Vec<f64>, b: Vec<f64>| {
+            assert!(a.iter().zip(&b).all(|(p, q)| p.to_bits() == q.to_bits()));
+        };
+        let copy = m.matrix().clone();
+        let mut of_copy = ColumnOverlay::new(&copy);
+        of_copy.map_col(0, |v| v * 1.5).unwrap();
+        let mut two = ColumnOverlay::new(m.matrix());
+        two.map_col(0, |v| v * 1.5).unwrap();
+        two.map_col(1, |v| v - 1.0).unwrap();
+        let mut moved = ColumnOverlay::new(m.matrix());
+        moved.map_col(0, |v| v).unwrap();
+        let others = [
+            MatrixView::Dense(m.matrix()),
+            MatrixView::Overlay(&two),
+            MatrixView::Overlay(&of_copy),
+        ];
+        // Dense input, two moved columns and an overlay of a copy of the
+        // training matrix take today's kernel and build no table.
+        for view in others {
+            assert!(m.one_driver_overlay(view).is_none());
+            same(m.predictions_for_view(view).unwrap(), full(view));
+        }
+        assert!(m.leaf_table.get().is_none());
+        // One moved column of the training matrix builds the table once.
+        let one = MatrixView::Overlay(&moved);
+        assert!(m.one_driver_overlay(one).is_some());
+        same(m.predictions_for_view(one).unwrap(), full(one));
+        let table = m.leaf_table.get().and_then(Option::as_ref).unwrap();
+        assert_eq!((table.n_rows(), table.n_trees()), (80, 12));
+        // With the table built, the other views still skip it.
+        for view in others {
+            assert!(m.one_driver_overlay(view).is_none());
+            same(m.predictions_for_view(view).unwrap(), full(view));
+        }
+        // A linear model routes the same view and gets no table.
+        let (cx, cy) = continuous_data();
+        let linear = TrainedModel::fit(
+            "sales",
+            KpiKind::Continuous,
+            names(),
+            cx,
+            cy,
+            &ModelConfig::default(),
+        )
+        .unwrap();
+        let mut moved = ColumnOverlay::new(linear.matrix());
+        moved.map_col(1, |v| v * 2.0).unwrap();
+        linear.kpi_for_view(MatrixView::Overlay(&moved)).unwrap();
+        assert!(matches!(linear.leaf_table.get(), Some(None)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! row-major `u8` bin matrix, and every split decision is made from
 //! per-node histograms:
 //!
-//! * **Binning** reuses the [`FullPresort`] sort work — per-feature run
+//! * **Binning** reuses the `FullPresort` sort work — per-feature run
 //!   counts and cut values fall out of the packed value classes in one
 //!   O(rows) walk, with [`whatif_stats::quantile_run_bins`] choosing
 //!   equal-count bin boundaries (runs of equal values never straddle a
@@ -15,7 +15,7 @@
 //! * **Accumulation** samples the node's feature subset *first*, then
 //!   makes one streaming pass over the node's rows filling only those
 //!   `k` histograms (`[count, Σy, Σy²]` per bin via
-//!   [`Criterion::add`]). Forests sample features per **node**, so
+//!   `Criterion::add`). Forests sample features per **node**, so
 //!   only `k` of `p` histograms are ever scanned — streaming the rows
 //!   for just those beats maintaining all-feature histograms for
 //!   parent−sibling subtraction, which must accumulate every feature.
@@ -32,13 +32,15 @@
 //! The same machinery powers [`GbdtRegressor`] / [`GbdtClassifier`]:
 //! sequential shallow binned trees fit to residuals (least squares) or
 //! logistic gradients, with shrinkage and early stopping on an internal
-//! holdout. Fitted rounds are ordinary [`FlatTree`]s, so the tree-major
+//! holdout. Fitted rounds are ordinary `FlatTree`s, so the tree-major
 //! batched prediction path — and everything stacked on it (overlays,
 //! caches, wire protocols) — works unchanged.
 
+use crate::delta::{predict_delta_flats, LeafTable};
 use crate::forest::predict_batch_flats;
 use crate::linalg::Matrix;
 use crate::model::{check_binary_labels, Classifier, LearnError, MatrixView, Predictor, Regressor};
+use crate::overlay::ColumnOverlay;
 use crate::split::train_test_split;
 use crate::tree::{
     check_no_nan_features, entry_class, leaf_meta, Criterion, FlatTree, FullPresort, Mse,
@@ -721,6 +723,22 @@ impl Predictor for GbdtRegressor {
         let base = self.base;
         predict_batch_flats(&flats, self.config.n_threads, x, out, |s| base + s)
     }
+
+    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
+        let flats: Vec<&FlatTree> = self.trees.iter().collect();
+        LeafTable::build(&flats, x, self.config.n_threads)
+    }
+
+    fn predict_delta(
+        &self,
+        table: &LeafTable,
+        x: &ColumnOverlay<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        let flats: Vec<&FlatTree> = self.trees.iter().collect();
+        let base = self.base;
+        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| base + s)
+    }
 }
 
 /// A gradient-boosted binary classifier: logistic loss, predictions are
@@ -815,6 +833,24 @@ impl Predictor for GbdtClassifier {
         let flats: Vec<&FlatTree> = self.trees.iter().collect();
         let base = self.base;
         predict_batch_flats(&flats, self.config.n_threads, x, out, |s| sigmoid(base + s))
+    }
+
+    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
+        let flats: Vec<&FlatTree> = self.trees.iter().collect();
+        LeafTable::build(&flats, x, self.config.n_threads)
+    }
+
+    fn predict_delta(
+        &self,
+        table: &LeafTable,
+        x: &ColumnOverlay<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        let flats: Vec<&FlatTree> = self.trees.iter().collect();
+        let base = self.base;
+        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| {
+            sigmoid(base + s)
+        })
     }
 }
 

@@ -16,13 +16,23 @@
 //! bit-identical to the row-major seed path, which is retained as
 //! [`RandomForestClassifier::predict_batch_rowmajor`] (and the regressor
 //! twin) for equivalence tests and old-vs-new benchmarks.
+//!
+//! A view that moves one column of the training matrix can skip most
+//! of that work: both forest families (and both GBDT types) implement
+//! [`Predictor::leaf_table`] and [`Predictor::predict_delta`], which
+//! keep each (row, tree) pair's training-matrix leaf wherever the moved
+//! value cannot change it and walk only the rest ([`crate::delta`]).
+//! The delta kernel fans out over rows with the same worker rule as
+//! the full kernel and gives the same bits.
 
 use crate::binned::{grow_binned, BinnedDataset};
+use crate::delta::{predict_delta_flats, LeafTable};
 use crate::linalg::Matrix;
 use crate::model::{
     check_batch_shape, check_binary_labels, Classifier, LearnError, MatrixView, Predictor,
     Regressor,
 };
+use crate::overlay::ColumnOverlay;
 use crate::tree::{
     check_no_nan_features, DecisionTreeClassifier, DecisionTreeRegressor, FlatTree, FullPresort,
     Gini, Mse, SeedLayoutTree, Trainer, TreeConfig,
@@ -181,7 +191,7 @@ pub fn worker_count(requested: usize, jobs: usize) -> usize {
 /// Decide the worker count for a batch of `rows` rows over `n_trees`
 /// trees. Thread spawn costs ~tens of µs; only fan out when the batch
 /// has enough row×tree work to amortize it.
-fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> usize {
+pub(crate) fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> usize {
     let work = rows.saturating_mul(n_trees);
     if work < PARALLEL_BATCH_MIN_WORK {
         1
@@ -248,11 +258,24 @@ pub(crate) fn predict_batch_flats(
             }
         }
     };
+    for_row_chunks(n_threads, trees.len(), out, score_rows);
+    Ok(())
+}
 
-    let n_threads = batch_threads(n_threads, out.len(), trees.len());
+/// Fill `out` in contiguous row chunks, one per worker under the
+/// [`batch_threads`] rule; `score_rows(first_row, chunk)` scores one
+/// chunk. Every row writes its own slot, so the result never depends
+/// on the worker count.
+pub(crate) fn for_row_chunks(
+    n_threads: usize,
+    n_trees: usize,
+    out: &mut [f64],
+    score_rows: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    let n_threads = batch_threads(n_threads, out.len(), n_trees);
     if n_threads == 1 {
         score_rows(0, out);
-        return Ok(());
+        return;
     }
     let chunk_len = out.len().div_ceil(n_threads);
     std::thread::scope(|scope| {
@@ -268,7 +291,6 @@ pub(crate) fn predict_batch_flats(
             h.join().expect("forest batch worker panicked");
         }
     });
-    Ok(())
 }
 
 /// The seed batched-prediction path: row-major (each row walks every
@@ -485,6 +507,14 @@ impl RandomForestClassifier {
         self.seed_layout().predict_batch(x, out)
     }
 
+    /// The fitted trees' flat layouts, in tree order.
+    fn flats(&self) -> Vec<&FlatTree> {
+        self.trees
+            .iter()
+            .filter_map(DecisionTreeClassifier::flat)
+            .collect()
+    }
+
     fn fit_impl(&mut self, x: &Matrix, y: &[u8], trainer: Trainer) -> Result<(), LearnError> {
         check_binary_labels(x, y)?;
         // One NaN screen for the whole forest instead of one per tree.
@@ -602,13 +632,26 @@ impl Predictor for RandomForestClassifier {
     }
 
     fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        let flats: Vec<&FlatTree> = self
-            .trees
-            .iter()
-            .filter_map(DecisionTreeClassifier::flat)
-            .collect();
+        let flats = self.flats();
         let n_trees = flats.len() as f64;
         predict_batch_flats(&flats, self.config.n_threads, x, out, |s| s / n_trees)
+    }
+
+    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
+        LeafTable::build(&self.flats(), x, self.config.n_threads)
+    }
+
+    fn predict_delta(
+        &self,
+        table: &LeafTable,
+        x: &ColumnOverlay<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        let flats = self.flats();
+        let n_trees = flats.len() as f64;
+        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| {
+            s / n_trees
+        })
     }
 }
 
@@ -713,6 +756,14 @@ impl RandomForestRegressor {
         out: &mut [f64],
     ) -> Result<(), LearnError> {
         self.seed_layout().predict_batch(x, out)
+    }
+
+    /// The fitted trees' flat layouts, in tree order.
+    fn flats(&self) -> Vec<&FlatTree> {
+        self.trees
+            .iter()
+            .filter_map(DecisionTreeRegressor::flat)
+            .collect()
     }
 
     fn fit_impl(&mut self, x: &Matrix, y: &[f64], trainer: Trainer) -> Result<(), LearnError> {
@@ -836,13 +887,26 @@ impl Predictor for RandomForestRegressor {
     }
 
     fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        let flats: Vec<&FlatTree> = self
-            .trees
-            .iter()
-            .filter_map(DecisionTreeRegressor::flat)
-            .collect();
+        let flats = self.flats();
         let n_trees = flats.len() as f64;
         predict_batch_flats(&flats, self.config.n_threads, x, out, |s| s / n_trees)
+    }
+
+    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
+        LeafTable::build(&self.flats(), x, self.config.n_threads)
+    }
+
+    fn predict_delta(
+        &self,
+        table: &LeafTable,
+        x: &ColumnOverlay<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        let flats = self.flats();
+        let n_trees = flats.len() as f64;
+        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| {
+            s / n_trees
+        })
     }
 }
 

@@ -44,6 +44,7 @@
 //! * [`split`] — train/test split and k-fold cross-validation.
 
 pub mod binned;
+pub mod delta;
 pub mod forest;
 pub mod linalg;
 pub mod linear;
@@ -59,6 +60,7 @@ pub mod split;
 pub mod tree;
 
 pub use binned::{GbdtClassifier, GbdtConfig, GbdtRegressor};
+pub use delta::LeafTable;
 pub use forest::{RandomForestClassifier, RandomForestRegressor};
 pub use linalg::Matrix;
 pub use linear::LinearRegression;

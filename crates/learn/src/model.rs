@@ -1,5 +1,6 @@
 //! Model traits and the shared error type.
 
+use crate::delta::LeafTable;
 use crate::linalg::Matrix;
 use crate::overlay::ColumnOverlay;
 use std::fmt;
@@ -159,6 +160,39 @@ pub trait Predictor: Send + Sync {
             }
         }
         Ok(())
+    }
+
+    /// The leaf each tree sends every row of `x` to, which
+    /// [`Predictor::predict_delta`] reuses on overlays of `x` that move
+    /// one column. `None` (the default) when the model is not a tree
+    /// ensemble, or has a tree of more than
+    /// [`LeafTable::MAX_TREE_NODES`] nodes.
+    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
+        let _ = x;
+        None
+    }
+
+    /// Score `x`, an overlay of the matrix `table` was built from, into
+    /// `out`, bit-identically to [`Predictor::predict_batch`].
+    ///
+    /// When `x` replaces exactly one column, tree ensembles keep each
+    /// (row, tree) pair's table leaf wherever the moved value cannot
+    /// send the row elsewhere and walk only the other pairs (see
+    /// [`crate::delta`]). The default, and any other overlay or a
+    /// table of another shape, scores through `predict_batch`.
+    /// `table` must come from this model's [`Predictor::leaf_table`]
+    /// on `x.base()`.
+    ///
+    /// # Errors
+    /// [`LearnError::Shape`] on column-count or output-length mismatch.
+    fn predict_delta(
+        &self,
+        table: &LeafTable,
+        x: &ColumnOverlay<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        let _ = table;
+        self.predict_batch(MatrixView::Overlay(x), out)
     }
 
     /// Score every row of a matrix.

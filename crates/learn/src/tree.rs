@@ -9,14 +9,14 @@
 //! # Hot-path layout
 //!
 //! Training uses **presorted split finding**: the full dataset is
-//! sorted once per forest ([`FullPresort`]), each tree derives its
+//! sorted once per forest (`FullPresort`), each tree derives its
 //! bootstrap sample's per-feature sorted columns with a linear counting
 //! scatter, and the columns are partitioned stably down the tree — no
 //! node ever sorts, and the per-node cost is a few linear passes over a
 //! reusable per-tree workspace instead of the seed's per-node
 //! gather-and-sort. Constant features and leaf-only fringes drop out of
 //! the partition work entirely. Fitted trees are stored **flattened**
-//! ([`FlatTree`]): packed `u32` feature/right-child index words with a
+//! (`FlatTree`): packed `u32` feature/right-child index words with a
 //! leaf sentinel next to one contiguous `f64` array holding thresholds
 //! and leaf values (the left child is always the next node, pre-order).
 //! Leaves point at themselves, so prediction walks pick children with a
@@ -97,6 +97,20 @@ pub(crate) const LEAF: u32 = u32::MAX;
 #[inline]
 pub(crate) fn leaf_meta(index: u32) -> u64 {
     (u64::from(index) << 32) | u64::from(LEAF)
+}
+
+/// Rows one batch walk moves together ([`FlatTree::walk_group`]).
+pub(crate) const GROUP: usize = 4;
+
+/// Split `GROUP` consecutive rows of width `p` into one slice per row.
+#[inline(always)]
+pub(crate) fn group_rows(rows: &[f64], p: usize) -> [&[f64]; GROUP] {
+    [
+        &rows[..p],
+        &rows[p..2 * p],
+        &rows[2 * p..3 * p],
+        &rows[3 * p..4 * p],
+    ]
 }
 
 /// Map an f64 to a u64 whose unsigned order equals `f64::total_cmp`
@@ -239,27 +253,76 @@ impl FlatTree {
         select_unpredictable(x <= thresh[i], i + 1, (m >> 32) as usize)
     }
 
+    /// The node arrays, `thresh` cut to `meta`'s length: equal lengths
+    /// let one bounds check cover both.
+    #[inline(always)]
+    fn nodes(&self) -> (&[u64], &[f64]) {
+        let meta = &self.meta[..];
+        (meta, &self.thresh[..meta.len()])
+    }
+
+    /// Walk four rows from the root together and return their leaves.
+    ///
+    /// The rows' walks interleave so the CPU overlaps four independent
+    /// chains of dependent node loads. Each step moves all four rows
+    /// with [`Self::step`] and has no per-row leaf test: a row that has
+    /// landed stays on its absorbing leaf. The group leaves the loop
+    /// once all four rows stand on leaves — one predictable branch per
+    /// step — so it takes exactly as many steps as a per-row-test loop
+    /// would, even on a lopsided tree. Every batch walk goes through
+    /// here: [`Self::accumulate_block`], [`Self::leaves_into`] (the
+    /// leaf-table build) and the delta kernel's walks
+    /// ([`Self::leaves_of`]).
+    #[inline(always)]
+    fn walk_group(meta: &[u64], thresh: &[f64], rows: [&[f64]; GROUP]) -> [usize; GROUP] {
+        let mut cur = [0usize; GROUP];
+        loop {
+            let mut landed = true;
+            for g in 0..GROUP {
+                landed &= meta[cur[g]] as u32 == LEAF;
+                cur[g] = Self::step(meta, thresh, rows[g], cur[g]);
+            }
+            if landed {
+                return cur;
+            }
+        }
+    }
+
+    /// The leaf a row lands on. The caller has validated the row width
+    /// (batch paths check once per batch, not once per row).
+    #[inline]
+    pub(crate) fn leaf_of(&self, row: &[f64]) -> usize {
+        let (meta, thresh) = self.nodes();
+        let mut i = 0usize;
+        while meta[i] as u32 != LEAF {
+            i = Self::step(meta, thresh, row, i);
+        }
+        i
+    }
+
+    /// The leaves of four rows, walked together ([`Self::walk_group`]).
+    #[inline]
+    pub(crate) fn leaves_of(&self, rows: [&[f64]; GROUP]) -> [usize; GROUP] {
+        let (meta, thresh) = self.nodes();
+        Self::walk_group(meta, thresh, rows)
+    }
+
+    /// The value stored at leaf `leaf`.
+    #[inline(always)]
+    pub(crate) fn leaf_value(&self, leaf: usize) -> f64 {
+        self.thresh[leaf]
+    }
+
     /// Walk a row to its leaf value. The caller has validated the row
     /// width (batch paths check once per batch, not once per row).
     #[inline]
     pub(crate) fn traverse(&self, row: &[f64]) -> f64 {
-        let mut i = 0usize;
-        while self.meta[i] as u32 != LEAF {
-            i = Self::step(&self.meta, &self.thresh, row, i);
-        }
-        self.thresh[i]
+        self.thresh[self.leaf_of(row)]
     }
 
     /// Accumulate this tree's leaf value for every row of a contiguous
-    /// row-major block (`block.len() == acc.len() * p`) into `acc`.
-    ///
-    /// Rows are walked in interleaved groups of four so the CPU overlaps
-    /// the dependent node-load chains of independent rows. Each step
-    /// moves all four rows with [`Self::step`] and has no per-row leaf
-    /// test: a row that has landed stays on its absorbing leaf. The
-    /// group leaves the loop once all four rows stand on leaves — one
-    /// predictable branch per step — so it takes exactly as many steps
-    /// as the per-row-test loop it replaced, even on a lopsided tree.
+    /// row-major block (`block.len() == acc.len() * p`) into `acc`,
+    /// walking the rows four at a time ([`Self::walk_group`]).
     ///
     /// Each row ends on the same leaf as [`Self::traverse`] and the
     /// seed's `if`-based walk (same `<=` test, same NaN routing), and
@@ -267,37 +330,95 @@ impl FlatTree {
     /// the trees in order: the result is bit-identical to the
     /// row-at-a-time path.
     pub(crate) fn accumulate_block(&self, block: &[f64], p: usize, acc: &mut [f64]) {
-        const G: usize = 4;
-        let meta = &self.meta[..];
-        // Equal lengths let one bounds check cover both arrays.
-        let thresh = &self.thresh[..meta.len()];
-        let full = acc.len() - acc.len() % G;
-        let mut r = 0;
-        while r < full {
-            let rows: [&[f64]; G] = [
-                &block[r * p..(r + 1) * p],
-                &block[(r + 1) * p..(r + 2) * p],
-                &block[(r + 2) * p..(r + 3) * p],
-                &block[(r + 3) * p..(r + 4) * p],
-            ];
-            let mut cur = [0usize; G];
-            loop {
-                let mut landed = true;
-                for g in 0..G {
-                    landed &= meta[cur[g]] as u32 == LEAF;
-                    cur[g] = Self::step(meta, thresh, rows[g], cur[g]);
-                }
-                if landed {
-                    break;
-                }
+        let (meta, thresh) = self.nodes();
+        let full = acc.len() - acc.len() % GROUP;
+        for (r, sums) in acc[..full].chunks_exact_mut(GROUP).enumerate() {
+            let rows = &block[r * GROUP * p..(r + 1) * GROUP * p];
+            let leaves = Self::walk_group(meta, thresh, group_rows(rows, p));
+            for (sum, leaf) in sums.iter_mut().zip(leaves) {
+                *sum += thresh[leaf];
             }
-            for g in 0..G {
-                acc[r + g] += thresh[cur[g]];
-            }
-            r += G;
         }
         for (row, slot) in acc.iter_mut().enumerate().skip(full) {
             *slot += self.traverse(&block[row * p..(row + 1) * p]);
+        }
+    }
+
+    /// Write the leaf every row of `x` lands on into `out` (one slot
+    /// per row), walking four rows at a time. The caller has checked
+    /// that `x` has this tree's width and that every node index fits a
+    /// `u16`.
+    pub(crate) fn leaves_into(&self, x: &Matrix, out: &mut [u16]) {
+        let (meta, thresh) = self.nodes();
+        let p = x.n_cols();
+        let data = x.data();
+        let full = out.len() - out.len() % GROUP;
+        for (r, slots) in out[..full].chunks_exact_mut(GROUP).enumerate() {
+            let rows = &data[r * GROUP * p..(r + 1) * GROUP * p];
+            let leaves = Self::walk_group(meta, thresh, group_rows(rows, p));
+            for (slot, leaf) in slots.iter_mut().zip(leaves) {
+                *slot = leaf as u16;
+            }
+        }
+        for (row, slot) in out.iter_mut().enumerate().skip(full) {
+            *slot = self.leaf_of(x.row(row)) as u16;
+        }
+    }
+
+    /// For every leaf, the interval of feature `j` that keeps a walk on
+    /// that leaf when no other feature changes, written to `iv[leaf]`
+    /// as `(lo, hi)`; a non-NaN value `x` stays on the leaf exactly
+    /// when `lo < x && x <= hi`.
+    ///
+    /// Only a node that tests `j` can route two such rows apart, so a
+    /// leaf's interval is fixed by the tests of `j` on its path: `hi`
+    /// is the smallest threshold where the path goes left (the walk
+    /// took `x <= t`), `lo` the largest where it goes right (it took
+    /// `!(x <= t)`, i.e. `x > t` for a non-NaN `x`), and −∞ / +∞ when
+    /// there is none. A NaN threshold on a test of `j` sets `lo` to +∞
+    /// for everything below it, so those leaves always walk. A NaN `x`
+    /// fails `lo < x` and always walks too.
+    ///
+    /// One pass over the pre-order arrays does it: a node's interval
+    /// is its parent's, tightened when the parent tests `j`. The left
+    /// child is the next node; the right child's interval waits on
+    /// `stack` until the left subtree's last leaf, which is exactly
+    /// when pre-order reaches it. Pop or push is a select of the stack
+    /// index, not a branch on "is this a leaf". `iv` needs a slot per
+    /// node (internal nodes' slots are scratch); `stack` is scratch.
+    pub(crate) fn leaf_intervals(
+        &self,
+        j: usize,
+        iv: &mut [(f64, f64)],
+        stack: &mut Vec<(f64, f64)>,
+    ) {
+        let (meta, thresh) = self.nodes();
+        let iv = &mut iv[..meta.len()];
+        // `stack[..sp]` holds the pending right children, at most one
+        // per level, above a sentinel the last leaf pops; `stack[sp]`
+        // takes the next push and `stack[sp + 1]` the left child, so
+        // the next node's interval is `stack[sp - 1]` after a leaf and
+        // `stack[sp + 1]` after a split, an index picked by a select.
+        stack.clear();
+        stack.resize(self.depth + 3, (f64::INFINITY, f64::INFINITY));
+        let mut sp = 1usize;
+        let mut cur = (f64::NEG_INFINITY, f64::INFINITY);
+        for ((&m, &t), slot) in meta.iter().zip(thresh).zip(iv.iter_mut()) {
+            *slot = cur;
+            let (lo, hi) = cur;
+            let tests_j = (m as u32) as usize == j;
+            let dead = tests_j && t.is_nan();
+            let left_hi = if tests_j { hi.min(t) } else { hi };
+            let right_lo = if tests_j { lo.max(t) } else { lo };
+            let (left_lo, right_lo) = if dead {
+                (f64::INFINITY, f64::INFINITY)
+            } else {
+                (lo, right_lo)
+            };
+            stack[sp] = (right_lo, hi);
+            stack[sp + 1] = (left_lo, left_hi);
+            sp = select_unpredictable(m as u32 == LEAF, sp - 1, sp + 1);
+            cur = stack[sp];
         }
     }
 
@@ -410,7 +531,7 @@ enum SeedNode {
 }
 
 /// A fitted tree in the seed's enum-arena layout with the seed's
-/// per-row shape check. See [`FlatTree::to_seed_layout`].
+/// per-row shape check, expanded from a fitted tree's flat layout.
 #[derive(Debug, Clone)]
 pub struct SeedLayoutTree {
     nodes: Vec<SeedNode>,

@@ -128,6 +128,76 @@ fn batch_paths_agree<P: Predictor>(
     }
 }
 
+/// [`training_data`] with column 3 shifted down by an odd number of
+/// eighths, so it straddles zero and a split between its values −1/8
+/// and +1/8 has a threshold of exactly 0.0, which ±0 moves land on.
+fn training_data_with_zero_split(seed: u64, n_rows: usize) -> (Matrix, Vec<u8>, Vec<f64>) {
+    let (x, labels, y) = training_data(seed, n_rows, 101);
+    let rows: Vec<Vec<f64>> = (0..x.n_rows())
+        .map(|i| {
+            let mut row = x.row(i).to_vec();
+            row[3] -= 101.0 / 8.0;
+            row
+        })
+        .collect();
+    (Matrix::from_rows(&rows).unwrap(), labels, y)
+}
+
+/// Every kind of one-column move an analyst's view can produce, each as
+/// a replacement for column `j`: scaled by `1 + pct`, shifted by `pct`,
+/// a 0 % move (the base values), a −100 % move (±0 cells), and a mix of
+/// NaN, ±∞, ±0 and cells on the 1/8 grid, where the exact and binned
+/// tiers put their split thresholds (midpoints of adjacent quarters).
+fn one_column_moves(x: &Matrix, j: usize, pct: f64, seed: u64) -> Vec<Vec<f64>> {
+    let base: Vec<f64> = (0..x.n_rows()).map(|i| x.get(i, j)).collect();
+    let mut state = seed | 1;
+    let mixed = base
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let grid = (state % 240) as f64 / 8.0 - 14.0;
+            match i % 8 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                5 | 6 => grid,
+                _ => v * (1.0 + pct),
+            }
+        })
+        .collect();
+    let scaled = |by: f64| base.iter().map(|v| v * (1.0 + by)).collect();
+    vec![
+        scaled(pct),
+        base.iter().map(|v| v + pct).collect(),
+        scaled(0.0),
+        scaled(-1.0),
+        mixed,
+    ]
+}
+
+/// [`Predictor::predict_delta`] on each of [`one_column_moves`] equals
+/// [`Predictor::predict_batch`] on the same overlay, row by row.
+fn delta_agrees_with_full_kernel(model: &dyn Predictor, x: &Matrix, j: usize, pct: f64, seed: u64) {
+    let table = model.leaf_table(x).expect("tree ensembles build a table");
+    assert_eq!(table.n_rows(), x.n_rows());
+    for moved in one_column_moves(x, j, pct, seed) {
+        let mut overlay = ColumnOverlay::new(x);
+        overlay.set_col(j, moved).unwrap();
+        let mut full = vec![0.0; x.n_rows()];
+        let mut delta = vec![0.0; x.n_rows()];
+        model.predict_batch((&overlay).into(), &mut full).unwrap();
+        model.predict_delta(&table, &overlay, &mut delta).unwrap();
+        for (i, (a, b)) in full.iter().zip(&delta).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}: full {a}, delta {b}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -278,6 +348,60 @@ proptest! {
         let mut gc = GbdtClassifier::new(gbdt);
         gc.fit(&x, &labels).unwrap();
         batch_paths_agree(&gc, None, &x, pct);
+    }
+
+    // The delta path (a leaf table plus walks of only the pairs a move
+    // changes) == the full kernel, bit for bit and row by row, on
+    // one-column overlays of the training matrix, for every model with
+    // a table: exact and binned forests of both families and both GBDT
+    // types, from stumps to depth 24, at 1, 2 and unbounded threads.
+    #[test]
+    fn delta_equals_full_kernel_on_one_column_overlays(
+        seed in 0u64..1000,
+        n_rows in 30usize..400,
+        n_trees in 1usize..30,
+        max_depth in 0usize..25,
+        threads_flag in 0usize..3,
+        column in 0usize..FEATURES,
+        pct in -1.0f64..1.5,
+    ) {
+        let threads = [1, 2, usize::MAX][threads_flag];
+        let (x, labels, y) = training_data_with_zero_split(seed, n_rows);
+        let mut models: Vec<Box<dyn Predictor>> = Vec::new();
+        for trainer in [Trainer::Presorted, Trainer::Binned] {
+            let config = ForestConfig {
+                n_trees,
+                tree: tree_config(max_depth, 1, None, 0),
+                seed,
+                n_threads: threads,
+                trainer,
+                ..ForestConfig::default()
+            };
+            let mut c = RandomForestClassifier::new(config.clone());
+            c.fit(&x, &labels).unwrap();
+            models.push(Box::new(c));
+            let mut r = RandomForestRegressor::new(config);
+            r.fit(&x, &y).unwrap();
+            models.push(Box::new(r));
+        }
+        let gbdt = GbdtConfig {
+            n_rounds: n_trees,
+            max_depth,
+            min_samples_leaf: 1,
+            holdout_fraction: 0.0,
+            seed,
+            n_threads: threads,
+            ..GbdtConfig::default()
+        };
+        let mut gr = GbdtRegressor::new(gbdt.clone());
+        gr.fit(&x, &y).unwrap();
+        models.push(Box::new(gr));
+        let mut gc = GbdtClassifier::new(gbdt);
+        gc.fit(&x, &labels).unwrap();
+        models.push(Box::new(gc));
+        for model in &models {
+            delta_agrees_with_full_kernel(model.as_ref(), &x, column, pct, seed);
+        }
     }
 
     // Model fingerprints survive the rewrite's determinism contract:
