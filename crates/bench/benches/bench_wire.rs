@@ -10,9 +10,26 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use whatif_bench::experiments::{wire_bench, write_wire_bench_json, Scale};
 use whatif_wire::{
-    lz4, Compression, DriverColumn, FrameType, PerturbKind, RequestBody, ScenarioGridRequest,
-    WireRequest,
+    lz4, Compression, DriverColumn, FrameType, PerturbKind, ReplyBody, RequestBody,
+    ScenarioGridRequest, WireReply, WireRequest,
 };
+
+/// The reply frame payload of one warm slider move over v3 opcode 1:
+/// a ~300 B JSON `Sensitivity` reply.
+fn slider_reply() -> Vec<u8> {
+    let json = concat!(
+        r#"{"id":4711,"result":{"Sensitivity":{"kpi_name":"Deal Closed?","#,
+        r#""baseline_kpi":0.4413333333333333,"perturbed_kpi":0.43583333333333335,"#,
+        r#""perturbations":{"perturbations":[{"driver":"Open Marketing Email","#,
+        r#""kind":{"Percentage":-20.0}}],"clamp_non_negative":true}}},"#,
+        r#""error":null,"cached":true,"trace_id":null}"#
+    );
+    WireReply {
+        id: 4711,
+        body: ReplyBody::Json(json.to_string()),
+    }
+    .encode()
+}
 
 /// A 10k-scenario columnar request over four drivers — the bench's
 /// mid-size grid, built without a server.
@@ -93,6 +110,22 @@ fn bench_wire(c: &mut Criterion) {
     group.bench_function("grid_10k_frame_lz4", |b| {
         b.iter(|| {
             whatif_wire::frame::encode_frame(FrameType::Request, &payload, Compression::Lz4Like)
+                .expect("fits")
+        })
+    });
+
+    // The slider's reply frame: small enough that compression setup,
+    // not matching, dominates the LZ4 path.
+    let reply = slider_reply();
+    group.bench_function("slider_reply_frame_plain", |b| {
+        b.iter(|| {
+            whatif_wire::frame::encode_frame(FrameType::Reply, &reply, Compression::None)
+                .expect("fits")
+        })
+    });
+    group.bench_function("slider_reply_frame_lz4", |b| {
+        b.iter(|| {
+            whatif_wire::frame::encode_frame(FrameType::Reply, &reply, Compression::Lz4Like)
                 .expect("fits")
         })
     });

@@ -1,21 +1,35 @@
 //! Offline `serde` facade.
 //!
 //! The build environment has no network access, so the workspace vendors
-//! a minimal serde replacement. Instead of real serde's
-//! serializer/deserializer visitor architecture, this facade round-trips
-//! every type through a JSON-shaped [`Value`] tree:
+//! a minimal serde replacement with two paths through JSON:
 //!
-//! * [`Serialize`] renders a type into a [`Value`],
-//! * [`Deserialize`] rebuilds a type from a [`Value`],
-//! * the sibling `serde_json` shim turns [`Value`] into JSON text and back.
+//! * **The direct path serves the wire.** [`Serialize::write_json`]
+//!   appends compact JSON straight to a buffer, and
+//!   [`Deserialize::read_json`] reads a type from a [`Reader`], a
+//!   single-pass, depth-bounded pull reader over the text. Neither
+//!   builds a [`Value`] tree. `serde_json::{to_string, from_str}` use
+//!   this path.
+//! * **The [`Value`] path serves `to_value`/`from_value` and the
+//!   oracle.** [`Serialize::serialize`] renders a type into a
+//!   JSON-shaped [`Value`] tree and [`Deserialize::deserialize`]
+//!   rebuilds it from one. Both paths agree byte for byte and value for
+//!   value; `tests/json_codec.rs` checks the direct path against this
+//!   one.
 //!
 //! The derive macros (`#[derive(Serialize, Deserialize)]`) come from the
-//! vendored `serde_derive` proc-macro crate and follow real serde's wire
-//! conventions: structs are maps, enums are externally tagged
-//! (`"Variant"` / `{"Variant": content}`), `#[serde(untagged)]` and
-//! `#[serde(default)]` behave as in serde proper.
+//! vendored `serde_derive` proc-macro crate, emit both paths, and
+//! follow real serde's wire conventions: structs are maps, enums are
+//! externally tagged (`"Variant"` / `{"Variant": content}`),
+//! `#[serde(untagged)]` and `#[serde(default)]` behave as in serde
+//! proper.
 
+pub use read::{Number, Reader, MAX_DEPTH};
 pub use serde_derive::{Deserialize, Serialize};
+use write::{write_f64, write_i64, write_u64};
+pub use write::{write_str, write_value};
+
+mod read;
+mod write;
 
 /// A JSON-shaped dynamic value: the facade's entire data model.
 #[derive(Clone, Debug, PartialEq)]
@@ -174,16 +188,26 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Render `self` into the facade's [`Value`] data model.
+/// Render `self` as JSON, directly or through the [`Value`] data model.
 pub trait Serialize {
     /// Produce the value tree.
     fn serialize(&self) -> Value;
+
+    /// Append `self` as compact JSON: the bytes [`write_value`] writes
+    /// for [`Serialize::serialize`]'s tree, without building it.
+    fn write_json(&self, out: &mut String);
 }
 
-/// Rebuild `Self` from the facade's [`Value`] data model.
+/// Rebuild `Self` from JSON, directly or through the [`Value`] data
+/// model.
 pub trait Deserialize: Sized {
     /// Parse the value tree.
     fn deserialize(v: &Value) -> Result<Self, DeError>;
+
+    /// Read one value from `r`: the result (or failure) that
+    /// [`Deserialize::deserialize`] gives for the same text parsed into
+    /// a tree, without building it.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError>;
 }
 
 // ------------------------------------------------------------ primitives
@@ -192,11 +216,19 @@ impl Serialize for bool {
     fn serialize(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl Deserialize for bool {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         v.as_bool().ok_or_else(|| DeError::expected("a boolean", v))
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.read_bool()
     }
 }
 
@@ -206,10 +238,24 @@ macro_rules! signed_impls {
             fn serialize(&self) -> Value {
                 Value::I64(*self as i64)
             }
+
+            fn write_json(&self, out: &mut String) {
+                write_i64(*self as i64, out);
+            }
         }
         impl Deserialize for $t {
             fn deserialize(v: &Value) -> Result<Self, DeError> {
                 let x = v.as_i64().ok_or_else(|| DeError::expected("an integer", v))?;
+                <$t>::try_from(x).map_err(|_| {
+                    DeError::new(format!("integer {x} out of range for {}", stringify!($t)))
+                })
+            }
+
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = r.read_number("an integer")?;
+                let x = n.as_i64().ok_or_else(|| {
+                    DeError::new(format!("expected an integer, found {n:?}"))
+                })?;
                 <$t>::try_from(x).map_err(|_| {
                     DeError::new(format!("integer {x} out of range for {}", stringify!($t)))
                 })
@@ -225,11 +271,25 @@ macro_rules! unsigned_impls {
             fn serialize(&self) -> Value {
                 Value::U64(*self as u64)
             }
+
+            fn write_json(&self, out: &mut String) {
+                write_u64(*self as u64, out);
+            }
         }
         impl Deserialize for $t {
             fn deserialize(v: &Value) -> Result<Self, DeError> {
                 let x = v.as_u64().ok_or_else(|| {
                     DeError::expected("a non-negative integer", v)
+                })?;
+                <$t>::try_from(x).map_err(|_| {
+                    DeError::new(format!("integer {x} out of range for {}", stringify!($t)))
+                })
+            }
+
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = r.read_number("a non-negative integer")?;
+                let x = n.as_u64().ok_or_else(|| {
+                    DeError::new(format!("expected a non-negative integer, found {n:?}"))
                 })?;
                 <$t>::try_from(x).map_err(|_| {
                     DeError::new(format!("integer {x} out of range for {}", stringify!($t)))
@@ -244,6 +304,10 @@ impl Serialize for f64 {
     fn serialize(&self) -> Value {
         Value::F64(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self, out);
+    }
 }
 
 impl Deserialize for f64 {
@@ -255,11 +319,22 @@ impl Deserialize for f64 {
         }
         v.as_f64().ok_or_else(|| DeError::expected("a number", v))
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.read_null()? {
+            return Ok(f64::NAN);
+        }
+        r.read_number("a number").map(Number::as_f64)
+    }
 }
 
 impl Serialize for f32 {
     fn serialize(&self) -> Value {
         Value::F64(f64::from(*self))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(f64::from(*self), out);
     }
 }
 
@@ -267,11 +342,19 @@ impl Deserialize for f32 {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         f64::deserialize(v).map(|x| x as f32)
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        f64::read_json(r).map(|x| x as f32)
+    }
 }
 
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::String(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
@@ -281,11 +364,19 @@ impl Deserialize for String {
             .map(str::to_owned)
             .ok_or_else(|| DeError::expected("a string", v))
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.read_str().map(std::borrow::Cow::into_owned)
+    }
 }
 
 impl Serialize for str {
     fn serialize(&self) -> Value {
         Value::String(self.to_owned())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
@@ -299,22 +390,39 @@ impl Deserialize for &'static str {
             .map(|s| &*Box::leak(s.to_owned().into_boxed_str()))
             .ok_or_else(|| DeError::expected("a string", v))
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        // Leaks, as `deserialize` does.
+        r.read_str()
+            .map(|s| &*Box::leak(s.into_owned().into_boxed_str()))
+    }
 }
 
 impl Serialize for char {
     fn serialize(&self) -> Value {
         Value::String(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_str(self.encode_utf8(&mut [0; 4]), out);
+    }
+}
+
+fn one_char(s: &str) -> Result<char, DeError> {
+    let mut chars = s.chars();
+    match (chars.next(), chars.next()) {
+        (Some(c), None) => Ok(c),
+        _ => Err(DeError::new(format!("expected one character, got {s:?}"))),
+    }
 }
 
 impl Deserialize for char {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str().ok_or_else(|| DeError::expected("a string", v))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::new(format!("expected one character, got {s:?}"))),
-        }
+        one_char(v.as_str().ok_or_else(|| DeError::expected("a string", v))?)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        one_char(&r.read_str()?)
     }
 }
 
@@ -324,11 +432,26 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize(&self) -> Value {
         (**self).serialize()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -336,20 +459,35 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize(&self) -> Value {
         self.as_slice().serialize()
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+fn exact_array<T, const N: usize>(items: Vec<T>) -> Result<[T; N], DeError> {
+    let got = items.len();
+    <[T; N]>::try_from(items)
+        .map_err(|_| DeError::new(format!("expected a {N}-element array, got {got}")))
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let items = Vec::<T>::deserialize(v)?;
-        let got = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| DeError::new(format!("expected a {N}-element array, got {got}")))
+        exact_array(Vec::<T>::deserialize(v)?)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        exact_array(Vec::<T>::read_json(r)?)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
         self.as_slice().serialize()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -360,6 +498,15 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .ok_or_else(|| DeError::expected("an array", v))?;
         arr.iter().map(Deserialize::deserialize).collect()
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_array("an array")?;
+        let mut items = Vec::new();
+        while r.next_element()? {
+            items.push(T::read_json(r)?);
+        }
+        Ok(items)
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -367,6 +514,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(x) => x.serialize(),
             None => Value::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -378,17 +532,32 @@ impl<T: Deserialize> Deserialize for Option<T> {
         }
         T::deserialize(v).map(Some)
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.read_null()? {
+            return Ok(None);
+        }
+        T::read_json(r).map(Some)
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
     fn serialize(&self) -> Value {
         (**self).serialize()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         T::deserialize(v).map(Box::new)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        T::read_json(r).map(Box::new)
     }
 }
 
@@ -397,6 +566,17 @@ macro_rules! tuple_impls {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn serialize(&self) -> Value {
                 Value::Array(vec![$(self.$idx.serialize()),+])
+            }
+
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $idx > 0 {
+                        out.push(',');
+                    }
+                    self.$idx.write_json(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -409,6 +589,19 @@ macro_rules! tuple_impls {
                     )));
                 }
                 Ok(($($t::deserialize(&arr[$idx])?,)+))
+            }
+
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                let n = [$($idx),+].len();
+                let arity = || DeError::new(format!("expected a {n}-element array"));
+                r.begin_array("an array")?;
+                let tuple = ($(
+                    if r.next_element()? { $t::read_json(r)? } else { return Err(arity()) },
+                )+);
+                if r.next_element()? {
+                    return Err(arity());
+                }
+                Ok(tuple)
             }
         }
     )*};
@@ -424,12 +617,52 @@ impl Serialize for Value {
     fn serialize(&self) -> Value {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_value(self, out);
+    }
 }
 
 impl Deserialize for Value {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.read_value()
+    }
+}
+
+/// `{"key":value,…}` for map entries in the given order.
+fn write_map<'a, K, V>(entries: impl Iterator<Item = (&'a K, &'a V)>, out: &mut String)
+where
+    K: std::fmt::Display + 'a,
+    V: Serialize + 'a,
+{
+    out.push('{');
+    for (i, (k, v)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(&k.to_string(), out);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
+/// Map entries in document order; a repeated key keeps its last value,
+/// as collecting the tree's pairs does.
+fn read_map<V: Deserialize, M: Default + Extend<(String, V)>>(
+    r: &mut Reader<'_>,
+) -> Result<M, DeError> {
+    r.begin_object("a map")?;
+    let mut map = M::default();
+    while let Some(key) = r.next_key()? {
+        let value = V::read_json(r)?;
+        map.extend(Some((key.into_owned(), value)));
+    }
+    Ok(map)
 }
 
 impl<K, V> Serialize for std::collections::BTreeMap<K, V>
@@ -444,6 +677,10 @@ where
                 .collect(),
         )
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_map(self.iter(), out);
+    }
 }
 
 impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
@@ -453,6 +690,18 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
             .map(|(k, x)| Ok((k.clone(), V::deserialize(x)?)))
             .collect()
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        read_map(r)
+    }
+}
+
+/// Hash-map entries sorted by key, so iteration order can't leak into
+/// payloads.
+fn sorted<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) -> Vec<(&K, &V)> {
+    let mut pairs: Vec<(&K, &V)> = map.iter().collect();
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    pairs
 }
 
 impl<K, V, S> Serialize for std::collections::HashMap<K, V, S>
@@ -461,15 +710,16 @@ where
     V: Serialize,
 {
     fn serialize(&self) -> Value {
-        // Sort keys so hash-map iteration order can't leak into payloads.
-        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0));
         Value::Object(
-            pairs
+            sorted(self)
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v.serialize()))
                 .collect(),
         )
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_map(sorted(self).into_iter(), out);
     }
 }
 
@@ -479,6 +729,10 @@ impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
         obj.iter()
             .map(|(k, x)| Ok((k.clone(), V::deserialize(x)?)))
             .collect()
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        read_map(r)
     }
 }
 

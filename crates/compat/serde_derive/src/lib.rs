@@ -1,10 +1,19 @@
 //! Offline derive-macro shim for the vendored `serde` facade.
 //!
 //! The build environment has no network access, so the workspace vendors
-//! a minimal serde-compatible facade (`crates/compat/serde`) whose data
-//! model is a JSON `Value` tree. This crate provides the matching
-//! `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros, hand-rolled
-//! on the bare `proc_macro` API (no `syn`/`quote`).
+//! a minimal serde-compatible facade (`crates/compat/serde`). This crate
+//! provides the matching `#[derive(Serialize)]` / `#[derive(Deserialize)]`
+//! macros, hand-rolled on the bare `proc_macro` API (no `syn`/`quote`).
+//! Each derive emits both of the facade's paths:
+//!
+//! * **the direct path, which serves the wire**: `write_json` appends
+//!   the JSON text with field names pre-rendered as literals, and
+//!   `read_json` drives the facade's pull reader (first key wins,
+//!   unknown keys skipped, missing fields read as `null` or their
+//!   default);
+//! * **the `Value` path**, `serialize`/`deserialize` over the facade's
+//!   JSON-shaped tree, which serves `to_value`/`from_value` and is the
+//!   oracle the direct path is tested against.
 //!
 //! Supported shapes — exactly what the workspace uses:
 //!
@@ -30,12 +39,15 @@ struct AttrInfo {
 
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     default: Option<Option<String>>,
 }
 
 enum VariantKind {
     Unit,
-    Tuple(usize),
+    /// Element types, as source text.
+    Tuple(Vec<String>),
     Struct(Vec<Field>),
 }
 
@@ -46,7 +58,7 @@ struct Variant {
 
 enum Data {
     Struct(Vec<Field>),
-    TupleStruct(usize),
+    TupleStruct(Vec<String>),
     Enum(Vec<Variant>),
 }
 
@@ -104,7 +116,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                 Data::Struct(parse_fields(g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Data::TupleStruct(count_tuple_fields(g.stream()))
+                Data::TupleStruct(tuple_field_types(g.stream())?)
             }
             Some(TokenTree::Punct(p)) if p.as_char() == ';' => Data::Struct(Vec::new()),
             _ => return Err(format!("serde shim: malformed struct `{name}`")),
@@ -235,12 +247,15 @@ fn parse_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
                 ))
             }
         }
+        let ty_start = i;
         skip_type(&toks, &mut i);
+        let ty = toks[ty_start..i].iter().cloned().collect::<TokenStream>();
         if i < toks.len() {
             i += 1; // the separating comma
         }
         fields.push(Field {
             name,
+            ty: ty.to_string(),
             default: attr.default,
         });
     }
@@ -262,9 +277,21 @@ fn skip_type(toks: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let parts = split_type_list(stream);
-    parts.len()
+/// Each tuple field's type, without its attributes and visibility.
+fn tuple_field_types(stream: TokenStream) -> Result<Vec<String>, String> {
+    split_type_list(stream)
+        .into_iter()
+        .map(|part| {
+            let mut i = 0;
+            parse_attrs(&part, &mut i, &mut AttrInfo::default())?;
+            skip_visibility(&part, &mut i);
+            Ok(part[i..]
+                .iter()
+                .cloned()
+                .collect::<TokenStream>()
+                .to_string())
+        })
+        .collect()
 }
 
 fn split_type_list(stream: TokenStream) -> Vec<Vec<TokenTree>> {
@@ -305,7 +332,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
                 k
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let k = VariantKind::Tuple(count_tuple_fields(g.stream()));
+                let k = VariantKind::Tuple(tuple_field_types(g.stream())?);
                 i += 1;
                 k
             }
@@ -330,23 +357,133 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.data {
-        Data::Struct(fields) => ser_named_fields_expr(fields, "self."),
-        Data::TupleStruct(n) => ser_tuple_expr(*n, "self."),
+    let (body, direct) = match &item.data {
+        Data::Struct(fields) => {
+            let mut pieces = Vec::new();
+            named_field_pieces(fields, |f| format!("&self.{f}"), &mut pieces);
+            (ser_named_fields_expr(fields, "self."), render(pieces))
+        }
+        Data::TupleStruct(tys) => {
+            let mut pieces = Vec::new();
+            tuple_pieces(tys.len(), |k| format!("&self.{k}"), &mut pieces);
+            (ser_tuple_expr(tys.len(), "self."), render(pieces))
+        }
         Data::Enum(variants) => {
             let mut arms = String::new();
+            let mut write_arms = String::new();
             for v in variants {
                 arms.push_str(&ser_variant_arm(name, v, item.untagged));
+                write_arms.push_str(&write_variant_arm(name, v, item.untagged));
             }
-            format!("match self {{ {arms} }}")
+            (
+                format!("match self {{ {arms} }}"),
+                format!("match self {{ {write_arms} }}"),
+            )
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
              fn serialize(&self) -> ::serde::Value {{ {body} }}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) {{ {direct} }}\n\
          }}"
     )
+}
+
+/// One step of a direct writer: literal JSON text, or a value written
+/// through its own `write_json`.
+enum Piece {
+    Lit(String),
+    Val(String),
+}
+
+/// Writer statements for `pieces`, with adjacent literals merged into
+/// one `push_str`.
+fn render(pieces: Vec<Piece>) -> String {
+    fn flush(code: &mut String, lit: &mut String) {
+        if !lit.is_empty() {
+            code.push_str(&format!("__out.push_str({lit:?});\n"));
+            lit.clear();
+        }
+    }
+    let mut code = String::new();
+    let mut lit = String::new();
+    for piece in pieces {
+        match piece {
+            Piece::Lit(text) => lit.push_str(&text),
+            Piece::Val(expr) => {
+                flush(&mut code, &mut lit);
+                code.push_str(&format!("::serde::Serialize::write_json({expr}, __out);\n"));
+            }
+        }
+    }
+    flush(&mut code, &mut lit);
+    code
+}
+
+/// `{"field":value,...}` in declaration order; `access` names a
+/// reference to each field.
+fn named_field_pieces(fields: &[Field], access: impl Fn(&str) -> String, out: &mut Vec<Piece>) {
+    out.push(Piece::Lit("{".into()));
+    for (i, f) in fields.iter().enumerate() {
+        let comma = if i > 0 { "," } else { "" };
+        out.push(Piece::Lit(format!("{comma}\"{}\":", f.name)));
+        out.push(Piece::Val(access(&f.name)));
+    }
+    out.push(Piece::Lit("}".into()));
+}
+
+/// A one-element tuple is transparent; any other is an array.
+fn tuple_pieces(n: usize, access: impl Fn(usize) -> String, out: &mut Vec<Piece>) {
+    if n == 1 {
+        out.push(Piece::Val(access(0)));
+        return;
+    }
+    out.push(Piece::Lit("[".into()));
+    for k in 0..n {
+        if k > 0 {
+            out.push(Piece::Lit(",".into()));
+        }
+        out.push(Piece::Val(access(k)));
+    }
+    out.push(Piece::Lit("]".into()));
+}
+
+fn write_variant_arm(ty: &str, v: &Variant, untagged: bool) -> String {
+    let vn = &v.name;
+    let mut pieces = Vec::new();
+    let tag = |pieces: &mut Vec<Piece>| {
+        if !untagged {
+            pieces.push(Piece::Lit(format!("{{\"{vn}\":")));
+        }
+    };
+    let pattern = match &v.kind {
+        VariantKind::Unit => {
+            let text = if untagged {
+                "null".to_string()
+            } else {
+                format!("\"{vn}\"")
+            };
+            pieces.push(Piece::Lit(text));
+            format!("{ty}::{vn}")
+        }
+        VariantKind::Tuple(tys) => {
+            tag(&mut pieces);
+            tuple_pieces(tys.len(), |k| format!("__f{k}"), &mut pieces);
+            let binds: Vec<String> = (0..tys.len()).map(|k| format!("__f{k}")).collect();
+            format!("{ty}::{vn}({})", binds.join(", "))
+        }
+        VariantKind::Struct(fields) => {
+            tag(&mut pieces);
+            named_field_pieces(fields, str::to_string, &mut pieces);
+            let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
+            format!("{ty}::{vn} {{ {} }}", binds.join(", "))
+        }
+    };
+    if !untagged && !matches!(v.kind, VariantKind::Unit) {
+        pieces.push(Piece::Lit("}".into()));
+    }
+    format!("{pattern} => {{ {} }}\n", render(pieces))
 }
 
 /// `{prefix}{field}` access for each named field, packed into an Object.
@@ -386,9 +523,10 @@ fn ser_variant_arm(ty: &str, v: &Variant, untagged: bool) -> String {
             };
             format!("{ty}::{vn} => {val},\n")
         }
-        VariantKind::Tuple(n) => {
-            let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-            let content = if *n == 1 {
+        VariantKind::Tuple(tys) => {
+            let n = tys.len();
+            let binds: Vec<String> = (0..n).map(|k| format!("__f{k}")).collect();
+            let content = if n == 1 {
                 "::serde::Serialize::serialize(__f0)".to_string()
             } else {
                 let items: Vec<String> = binds
@@ -428,7 +566,7 @@ fn gen_deserialize(item: &Item) -> String {
                  ::std::result::Result::Ok({ctor})"
             )
         }
-        Data::TupleStruct(n) => de_tuple_struct_body(name, *n),
+        Data::TupleStruct(tys) => de_tuple_struct_body(name, tys.len()),
         Data::Enum(variants) => {
             if item.untagged {
                 de_untagged_enum_body(name, variants)
@@ -437,12 +575,224 @@ fn gen_deserialize(item: &Item) -> String {
             }
         }
     };
+    let direct = match &item.data {
+        Data::Struct(fields) => format!(
+            "::std::result::Result::Ok({})",
+            read_named_fields(name, fields, &format!("a map for struct {name}"))
+        ),
+        Data::TupleStruct(tys) => format!(
+            "::std::result::Result::Ok({})",
+            read_tuple(name, tys, &format!("an array for tuple struct {name}"))
+        ),
+        Data::Enum(variants) => {
+            if item.untagged {
+                read_untagged_enum(name, variants)
+            } else {
+                read_tagged_enum(name, variants)
+            }
+        }
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
              fn deserialize(__v: &::serde::Value) \
              -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
+             fn read_json(__r: &mut ::serde::Reader<'_>) \
+             -> ::std::result::Result<Self, ::serde::DeError> {{\n{direct}\n}}\n\
          }}"
+    )
+}
+
+/// The value of a field absent from its map: its serde default, or
+/// whatever `null` reads as (`None`, NaN), or the missing-field error.
+fn missing_field_expr(f: &Field, ctor_path: &str) -> String {
+    let fname = &f.name;
+    match &f.default {
+        None => format!(
+            "::serde::Deserialize::deserialize(&::serde::Value::Null)\
+             .map_err(|_| ::serde::DeError::missing_field(\"{fname}\", \"{ctor_path}\"))?"
+        ),
+        Some(None) => "::std::default::Default::default()".to_string(),
+        Some(Some(path)) => format!("{path}()"),
+    }
+}
+
+/// Expression reading `Ty { f: .., ... }` from the map `__r` is at:
+/// the first occurrence of each field wins, later duplicates and
+/// unknown keys are skipped, absent fields take
+/// [`missing_field_expr`].
+fn read_named_fields(ctor_path: &str, fields: &[Field], what: &str) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let (fname, ty) = (&f.name, &f.ty);
+        slots.push_str(&format!(
+            "let mut __v{i}: ::std::option::Option<{ty}> = ::std::option::Option::None;\n"
+        ));
+        arms.push_str(&format!(
+            "\"{fname}\" if __v{i}.is_none() => {{ __v{i} = ::std::option::Option::Some(\
+             ::serde::Deserialize::read_json(__r).map_err(|__e| __e.in_field(\"{fname}\"))?); }}\n"
+        ));
+        inits.push_str(&format!(
+            "{fname}: match __v{i} {{\n\
+                 ::std::option::Option::Some(__x) => __x,\n\
+                 ::std::option::Option::None => {},\n\
+             }},\n",
+            missing_field_expr(f, ctor_path)
+        ));
+    }
+    let walk = if fields.is_empty() {
+        "while __r.next_key()?.is_some() { __r.skip_value()?; }\n".to_string()
+    } else {
+        format!(
+            "while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
+                 match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+             }}\n"
+        )
+    };
+    format!("{{\n{slots}__r.begin_object({what:?})?;\n{walk}{ctor_path} {{ {inits} }} }}")
+}
+
+/// Expression reading `Ctor(a, b, ..)` from `__r`: a one-element tuple
+/// is transparent, any other an array of exactly that many elements.
+fn read_tuple(ctor_path: &str, tys: &[String], what: &str) -> String {
+    if tys.len() == 1 {
+        return format!("{ctor_path}(::serde::Deserialize::read_json(__r)?)");
+    }
+    let n = tys.len();
+    let arity = format!(
+        "return ::std::result::Result::Err(::serde::DeError::new(\
+         ::std::string::String::from({:?})))",
+        format!("expected {n} elements for {ctor_path}")
+    );
+    let mut reads = String::new();
+    for (k, ty) in tys.iter().enumerate() {
+        reads.push_str(&format!(
+            "let __x{k}: {ty} = if __r.next_element()? {{ \
+             ::serde::Deserialize::read_json(__r)? }} else {{ {arity} }};\n"
+        ));
+    }
+    let binds: Vec<String> = (0..n).map(|k| format!("__x{k}")).collect();
+    format!(
+        "{{\n__r.begin_array({what:?})?;\n{reads}\
+         if __r.next_element()? {{ {arity} }}\n\
+         {ctor_path}({}) }}",
+        binds.join(", ")
+    )
+}
+
+/// Externally tagged: a unit variant's name as a string, or a map in
+/// which exactly one key names a variant. Unknown sibling keys are
+/// skipped; two variant keys (even the same one twice) are ambiguous.
+///
+/// Each variant's content is read by its own non-capturing closure,
+/// called from one site, so the frame a recursive type (a `Batch` of
+/// requests) repeats per level stays small even in debug builds.
+fn read_tagged_enum(name: &str, variants: &[Variant]) -> String {
+    let what = format!("a string or tagged map for enum {name}");
+    let mut str_arms = String::new();
+    let mut tag_arms = String::new();
+    for v in variants {
+        let vn = &v.name;
+        let ctor = format!("{name}::{vn}");
+        let arm = match &v.kind {
+            VariantKind::Unit => {
+                str_arms.push_str(&format!("\"{vn}\" => ::std::result::Result::Ok({ctor}),\n"));
+                format!("{{ __r.skip_value()?; {ctor} }}")
+            }
+            VariantKind::Tuple(tys) if tys.len() == 1 => format!(
+                "{ctor}(::serde::Deserialize::read_json(__r)\
+                 .map_err(|__e| __e.in_field(\"{vn}\"))?)"
+            ),
+            VariantKind::Tuple(tys) => {
+                read_tuple(&ctor, tys, &format!("an array for variant {ctor}"))
+            }
+            VariantKind::Struct(fields) => {
+                read_named_fields(&ctor, fields, &format!("a map for variant {ctor}"))
+            }
+        };
+        tag_arms.push_str(&format!(
+            "\"{vn}\" => |__r| ::std::result::Result::Ok({arm}),\n"
+        ));
+    }
+    format!(
+        "match __r.peek() {{\n\
+             ::std::option::Option::Some(b'\"') => {{\n\
+                 let __s = __r.read_str()?;\n\
+                 match &*__s {{\n{str_arms}\
+                     __other => ::std::result::Result::Err(\
+                     ::serde::DeError::unknown_variant(__other, \"{name}\")),\n\
+                 }}\n\
+             }}\n\
+             ::std::option::Option::Some(b'{{') => {{\n\
+                 __r.begin_object({what:?})?;\n\
+                 let mut __found: ::std::option::Option<{name}> = ::std::option::Option::None;\n\
+                 let mut __unknown: ::std::option::Option<::std::string::String> = \
+                 ::std::option::Option::None;\n\
+                 while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
+                     let __read: fn(&mut ::serde::Reader<'_>) \
+                     -> ::std::result::Result<{name}, ::serde::DeError> = match &*__k {{\n\
+                         {tag_arms}\
+                         _ => {{\n\
+                             if __unknown.is_none() {{ \
+                             __unknown = ::std::option::Option::Some(::std::string::String::from(&*__k)); }}\n\
+                             __r.skip_value()?;\n\
+                             continue;\n\
+                         }}\n\
+                     }};\n\
+                     if __found.is_some() {{\n\
+                         return ::std::result::Result::Err(::serde::DeError::new(\
+                         ::std::string::String::from({ambiguous:?})));\n\
+                     }}\n\
+                     __found = ::std::option::Option::Some(__read(__r)?);\n\
+                 }}\n\
+                 match (__found, __unknown) {{\n\
+                     (::std::option::Option::Some(__x), _) => ::std::result::Result::Ok(__x),\n\
+                     (::std::option::Option::None, ::std::option::Option::Some(__tag)) => \
+                     ::std::result::Result::Err(::serde::DeError::unknown_variant(&__tag, \"{name}\")),\n\
+                     (::std::option::Option::None, ::std::option::Option::None) => \
+                     ::std::result::Result::Err(::serde::DeError::new(\
+                     ::std::string::String::from({empty:?}))),\n\
+                 }}\n\
+             }}\n\
+             _ => ::std::result::Result::Err(__r.expected({what:?})),\n\
+         }}",
+        ambiguous = format!("ambiguous map for enum {name}: more than one variant key"),
+        empty = format!("expected {what}, found an empty map"),
+    )
+}
+
+/// Untagged: skip the value once, then try each variant in declaration
+/// order on its own copy of the span; the first that reads wins.
+fn read_untagged_enum(name: &str, variants: &[Variant]) -> String {
+    let mut attempts = String::new();
+    for v in variants {
+        let ctor = format!("{name}::{}", v.name);
+        let body = match &v.kind {
+            VariantKind::Unit => {
+                attempts.push_str(&format!(
+                    "if ::std::matches!(__span.clone().read_null(), \
+                     ::std::result::Result::Ok(true)) {{ \
+                     return ::std::result::Result::Ok({ctor}); }}\n"
+                ));
+                continue;
+            }
+            VariantKind::Tuple(tys) => read_tuple(&ctor, tys, "an array"),
+            VariantKind::Struct(fields) => read_named_fields(&ctor, fields, "a map"),
+        };
+        attempts.push_str(&format!(
+            "if let ::std::result::Result::Ok(__x) = \
+             (|| -> ::std::result::Result<{name}, ::serde::DeError> {{\n\
+                 let __r = &mut __span.clone();\n\
+                 ::std::result::Result::Ok({body})\n\
+             }})() {{ return ::std::result::Result::Ok(__x); }}\n"
+        ));
+    }
+    format!(
+        "let __span = __r.capture()?;\n{attempts}\
+         ::std::result::Result::Err(::serde::DeError::new(::std::string::String::from({:?})))",
+        format!("expected a value matching some variant of untagged enum {name}")
     )
 }
 
@@ -451,14 +801,7 @@ fn de_named_fields_ctor(ctor_path: &str, fields: &[Field], obj_var: &str) -> Str
     let mut inits = String::new();
     for f in fields {
         let fname = &f.name;
-        let missing = match &f.default {
-            None => format!(
-                "::serde::Deserialize::deserialize(&::serde::Value::Null)\
-                 .map_err(|_| ::serde::DeError::missing_field(\"{fname}\", \"{ctor_path}\"))?"
-            ),
-            Some(None) => "::std::default::Default::default()".to_string(),
-            Some(Some(path)) => format!("{path}()"),
-        };
+        let missing = missing_field_expr(f, ctor_path);
         inits.push_str(&format!(
             "{fname}: match ::serde::find_field({obj_var}, \"{fname}\") {{\n\
                  ::std::option::Option::Some(__x) => \
@@ -505,13 +848,14 @@ fn de_tagged_enum_body(name: &str, variants: &[Variant]) -> String {
         let vn = &v.name;
         let arm = match &v.kind {
             VariantKind::Unit => format!("::std::result::Result::Ok({name}::{vn})"),
-            VariantKind::Tuple(1) => format!(
+            VariantKind::Tuple(tys) if tys.len() == 1 => format!(
                 "::std::result::Result::Ok({name}::{vn}(\
                  ::serde::Deserialize::deserialize(__content)\
                  .map_err(|__e| __e.in_field(\"{vn}\"))?))"
             ),
-            VariantKind::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
+            VariantKind::Tuple(tys) => {
+                let n = tys.len();
+                let items: Vec<String> = (0..n)
                     .map(|k| format!("::serde::Deserialize::deserialize(&__arr[{k}])?"))
                     .collect();
                 format!(
@@ -596,13 +940,14 @@ fn de_untagged_enum_body(name: &str, variants: &[Variant]) -> String {
             VariantKind::Unit => attempts.push_str(&format!(
                 "if __v.is_null() {{ return ::std::result::Result::Ok({name}::{vn}); }}\n"
             )),
-            VariantKind::Tuple(1) => attempts.push_str(&format!(
+            VariantKind::Tuple(tys) if tys.len() == 1 => attempts.push_str(&format!(
                 "if let ::std::result::Result::Ok(__x) = \
                  ::serde::Deserialize::deserialize(__v) \
                  {{ return ::std::result::Result::Ok({name}::{vn}(__x)); }}\n"
             )),
-            VariantKind::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
+            VariantKind::Tuple(tys) => {
+                let n = tys.len();
+                let items: Vec<String> = (0..n)
                     .map(|k| format!("::serde::Deserialize::deserialize(&__arr[{k}])?"))
                     .collect();
                 attempts.push_str(&format!(

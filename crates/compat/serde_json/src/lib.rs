@@ -1,5 +1,13 @@
-//! Offline `serde_json` shim: JSON text over the vendored serde facade's
-//! [`Value`] data model.
+//! Offline `serde_json` shim: JSON text over the vendored serde facade.
+//!
+//! [`to_string`] and [`from_str`] take the facade's direct path
+//! ([`serde::Serialize::write_json`], [`serde::Deserialize::read_json`]
+//! over a depth-bounded [`serde::Reader`]) and build no [`Value`] tree;
+//! they serve the wire. [`to_value`], [`from_value`] and [`parse`] keep
+//! the [`Value`] path: `parse` is an independent recursive-descent
+//! parser with the same [`serde::MAX_DEPTH`] bound, and the two paths
+//! serve as each other's differential oracle (`tests/json_codec.rs`).
+//! [`to_string_pretty`] renders through the tree.
 //!
 //! Matches the serde_json conventions the workspace relies on:
 //!
@@ -43,8 +51,10 @@ impl std::error::Error for Error {}
 /// Never fails for tree-shaped data; the `Result` mirrors serde_json's
 /// signature.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.serialize(), &mut out);
+    // Room for a typical reply line up front: growing from empty costs
+    // six reallocations before a ~300 B reply fits.
+    let mut out = String::with_capacity(512);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -79,18 +89,22 @@ pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
 /// # Errors
 /// Malformed JSON, trailing garbage, or a shape mismatch with `T`.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    from_value(&value)
+    let mut reader = serde::Reader::new(s);
+    let value = T::read_json(&mut reader).map_err(|e| Error::new(e.to_string()))?;
+    reader.finish().map_err(|e| Error::new(e.to_string()))?;
+    Ok(value)
 }
 
 /// Parse one JSON document into a raw [`Value`].
 ///
 /// # Errors
-/// Malformed JSON or trailing garbage.
+/// Malformed JSON, nesting deeper than [`serde::MAX_DEPTH`], or
+/// trailing garbage.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -102,40 +116,6 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 }
 
 // ----------------------------------------------------------------- writer
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => write_f64(*x, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
 
 fn write_value_pretty(v: &Value, out: &mut String, indent: usize) {
     match v {
@@ -159,7 +139,7 @@ fn write_value_pretty(v: &Value, out: &mut String, indent: usize) {
                     out.push_str(",\n");
                 }
                 push_indent(out, indent + 1);
-                write_string(k, out);
+                serde::write_str(k, out);
                 out.push_str(": ");
                 write_value_pretty(item, out, indent + 1);
             }
@@ -167,7 +147,7 @@ fn write_value_pretty(v: &Value, out: &mut String, indent: usize) {
             push_indent(out, indent);
             out.push('}');
         }
-        other => write_value(other, out),
+        other => serde::write_value(other, out),
     }
 }
 
@@ -177,41 +157,13 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_f64(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    // `{:?}` is Rust's shortest roundtrip form and always keeps a
-    // fraction or exponent for floats (`3.0`, `1e300`), like serde_json.
-    out.push_str(&format!("{x:?}"));
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 // ----------------------------------------------------------------- parser
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open, bounded by [`serde::MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -260,12 +212,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Open one more container, refusing to nest past the bound.
+    fn enter(&mut self, open: u8) -> Result<(), Error> {
+        self.expect(open)?;
+        self.depth += 1;
+        if self.depth > serde::MAX_DEPTH {
+            return Err(Error::at(
+                format!("nesting deeper than {} levels", serde::MAX_DEPTH),
+                self.pos,
+            ));
+        }
+        Ok(())
+    }
+
     fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
+        self.enter(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Array(items));
         }
         loop {
@@ -276,6 +242,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Array(items));
                 }
                 _ => return Err(Error::at("expected `,` or `]`", self.pos)),
@@ -284,11 +251,12 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
+        self.enter(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Value::Object(pairs));
         }
         loop {
@@ -304,6 +272,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Value::Object(pairs));
                 }
                 _ => return Err(Error::at("expected `,` or `}`", self.pos)),
@@ -498,5 +467,41 @@ mod tests {
         assert_eq!(v, vec![1, 2, 3]);
         assert!(from_str::<Vec<u32>>("[1,-2]").is_err());
         assert_eq!(to_string(&vec![1u32, 2]).unwrap(), "[1,2]");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_on_both_paths() {
+        let half = 1 << 19;
+        let hostile = [
+            "[".repeat(1 << 20),
+            format!("{}1{}", "{\"a\":[".repeat(100_000), "]}".repeat(100_000)),
+            format!(
+                "{{\"id\":3,\"pad\":{}{}}}",
+                "[".repeat(half),
+                "]".repeat(half)
+            ),
+        ];
+        for doc in &hostile {
+            assert!(from_str::<Value>(doc).is_err());
+            assert!(parse(doc).is_err());
+        }
+        let deepest = format!(
+            "{}{}",
+            "[".repeat(serde::MAX_DEPTH),
+            "]".repeat(serde::MAX_DEPTH)
+        );
+        assert!(from_str::<Value>(&deepest).is_ok());
+        assert!(parse(&deepest).is_ok());
+    }
+
+    #[test]
+    fn direct_and_tree_paths_agree() {
+        let json = r#"{"a": [1, -0, 2.5, 1e400, "x\u00e9"], "b": {"c": null}, "a": true}"#;
+        let direct: Value = from_str(json).unwrap();
+        assert_eq!(direct, parse(json).unwrap());
+        assert_eq!(
+            to_string(&direct).unwrap(),
+            r#"{"a":[1,0,2.5,null,"xé"],"b":{"c":null},"a":true}"#
+        );
     }
 }

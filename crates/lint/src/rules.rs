@@ -4,7 +4,7 @@
 //! `docs/LINTS.md` for the catalog and history).
 
 use crate::lexer::TokenKind;
-use crate::{SourceFile, Tok, Violation};
+use crate::{SourceFile, Tok, Violation, JSON_READER};
 
 /// Run every rule against one analyzed file.
 pub fn run_all(file: &SourceFile, violations: &mut Vec<Violation>) {
@@ -21,12 +21,13 @@ fn panic_scope(path: &str) -> bool {
     path.starts_with("crates/server/src")
         || path.starts_with("crates/wire/src")
         || path.starts_with("crates/core/src")
+        || path == JSON_READER
 }
 
 /// Paths that decode untrusted wire bytes: narrowing casts and
 /// allocations there answer to a hostile peer.
 fn wire_decode_scope(path: &str) -> bool {
-    path.starts_with("crates/wire/src") || path == "crates/server/src/v3.rs"
+    path.starts_with("crates/wire/src") || path == "crates/server/src/v3.rs" || path == JSON_READER
 }
 
 fn report(
@@ -481,6 +482,24 @@ mod tests {
         assert!(
             rules_fired("crates/lint/src/main.rs", STRAY_IO_FIXTURE).is_empty(),
             "the lint binary's report printer is exempt"
+        );
+    }
+
+    #[test]
+    fn the_json_reader_is_in_every_decode_scope() {
+        let path = crate::JSON_READER;
+        let count = |src: &str, rule: &str| {
+            rules_fired(path, src)
+                .into_iter()
+                .filter(|r| *r == rule)
+                .count()
+        };
+        assert_eq!(count(PANIC_FIXTURE, "panic-freedom"), 5);
+        assert_eq!(count(NARROWING_FIXTURE, "no-unchecked-narrowing"), 2);
+        assert_eq!(count(ALLOC_FIXTURE, "capped-allocation"), 3);
+        assert!(
+            rules_fired("crates/compat/serde/src/lib.rs", PANIC_FIXTURE).is_empty(),
+            "the rest of the facade is not"
         );
     }
 

@@ -295,6 +295,12 @@ impl Engine {
     /// [`Reply`]), anything else is a legacy v1 [`Request`] (answered by
     /// a bare [`Response`]). Returns the serialized reply line plus
     /// whether the line asked the server to shut down.
+    ///
+    /// An envelope decodes in one typed read. Any other line is
+    /// classified by one scan of its top-level keys and, if it is a v1
+    /// request, read once more as a [`Request`]. None of these builds a
+    /// JSON tree, and nesting past [`serde::MAX_DEPTH`] is a
+    /// `BadRequest` like any malformed line.
     pub fn dispatch_line(&self, line: &str) -> (String, bool) {
         // One span per line; inert when a v3 frame handler already owns
         // the thread's span.
@@ -317,32 +323,23 @@ impl Engine {
 
         let decoded = {
             let _decode = span::stage(Stage::Decode);
-            match serde_json::parse(line) {
-                Err(e) => Line::Malformed(format!("malformed request: {e}")),
-                Ok(parsed) => {
-                    let is_envelope = parsed.as_object().is_some_and(|o| {
-                        serde::find_field(o, "id").is_some()
-                            && serde::find_field(o, "body").is_some()
-                    });
-                    if is_envelope {
-                        match serde_json::from_value::<Envelope>(&parsed) {
-                            Ok(envelope) => Line::Envelope(envelope),
-                            Err(e) => Line::BadEnvelope {
-                                id: parsed
-                                    .as_object()
-                                    .and_then(|o| serde::find_field(o, "id"))
-                                    .and_then(|v| v.as_u64())
-                                    .unwrap_or(0),
-                                message: format!("malformed envelope: {e}"),
-                            },
-                        }
-                    } else {
-                        match serde_json::from_value::<Request>(&parsed) {
-                            Ok(request) => Line::Plain(request),
-                            Err(e) => Line::Malformed(format!("malformed request: {e}")),
-                        }
-                    }
-                }
+            // A line that reads as an envelope is one: the read checks
+            // the whole document and needs both `id` and `body`. Only
+            // any other line pays for the key scan that tells a v1
+            // request from a bad envelope.
+            match serde_json::from_str::<Envelope>(line) {
+                Ok(envelope) => Line::Envelope(envelope),
+                Err(envelope_error) => match envelope_id(line) {
+                    Err(e) => Line::Malformed(format!("malformed request: {e}")),
+                    Ok(Some(id)) => Line::BadEnvelope {
+                        id,
+                        message: format!("malformed envelope: {envelope_error}"),
+                    },
+                    Ok(None) => match serde_json::from_str::<Request>(line) {
+                        Ok(request) => Line::Plain(request),
+                        Err(e) => Line::Malformed(format!("malformed request: {e}")),
+                    },
+                },
             }
         };
 
@@ -815,6 +812,47 @@ impl Engine {
     }
 }
 
+/// Classify one wire line: `Some(id)` when it is an object with both
+/// `id` and `body` keys (a v2 envelope), `None` otherwise (a v1
+/// request). An object takes one scan of its top-level keys that
+/// checks the whole document's syntax, so a malformed line is never
+/// mistaken for a bad envelope, and allocates nothing for unescaped
+/// keys; anything else is left to the typed v1 read. The id is the
+/// first `id` key's value when that is a `u64`, else 0, so even an
+/// undecodable envelope's failure can be correlated.
+///
+/// # Errors
+/// The line is an object but not one well-formed JSON document.
+fn envelope_id(line: &str) -> Result<Option<u64>, serde::DeError> {
+    let mut reader = serde::Reader::new(line);
+    if reader.peek() != Some(b'{') {
+        return Ok(None);
+    }
+    let mut id: Option<Option<u64>> = None;
+    let mut body = false;
+    reader.begin_object("a map")?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "id" if id.is_none() => {
+                id = Some(match reader.peek() {
+                    Some(b'-' | b'0'..=b'9') => reader.read_number("a number")?.as_u64(),
+                    _ => {
+                        reader.skip_value()?;
+                        None
+                    }
+                });
+            }
+            "body" => {
+                body = true;
+                reader.skip_value()?;
+            }
+            _ => reader.skip_value()?,
+        }
+    }
+    reader.finish()?;
+    Ok(id.filter(|_| body).map(|id| id.unwrap_or(0)))
+}
+
 fn encode<T: serde::Serialize>(value: &T) -> String {
     let _stage = span::stage(Stage::Encode);
     serde_json::to_string(value).unwrap_or_else(|e| {
@@ -1141,6 +1179,50 @@ mod tests {
         let reply: Reply = serde_json::from_str(&line).unwrap();
         assert_eq!(reply.id, 4);
         assert_eq!(reply.error.unwrap().code, ErrorCode::BadRequest);
+    }
+
+    /// The framing each line gets, and the id a failed envelope
+    /// salvages, match the tree-based classification: an object with
+    /// both `id` and `body` keys that parses is an envelope, whose id
+    /// is the first `id` when it is a `u64`; anything else is v1.
+    #[test]
+    fn dispatch_line_framing_matches_the_value_path() {
+        fn tree_framing(line: &str) -> Option<u64> {
+            let parsed = serde_json::parse(line).ok()?;
+            let obj = parsed.as_object()?;
+            serde::find_field(obj, "body")?;
+            let id = serde::find_field(obj, "id")?;
+            Some(id.as_u64().unwrap_or(0))
+        }
+        let engine = Engine::new();
+        let lines = [
+            r#"{"id": 4, "body": "ListUseCases"}"#,
+            r#"{"body": "ListUseCases", "id": 5, "id": 6}"#,
+            r#"{"id": 1.5, "body": "ListUseCases"}"#,
+            r#"{"id": -3, "body": "ListUseCases"}"#,
+            r#"{"id": "x", "body": "ListUseCases"}"#,
+            r#"{"\u0069d": 8, "body": {"Nope": 1}}"#,
+            r#"{"id": 9, "body": "ListUseCases""#,
+            r#"{"id": 9, "body": "ListUseCases"} x"#,
+            r#"{"id": 9, "bodyx": "ListUseCases"}"#,
+            r#"{"id": 10, "body": [[[[]]]], "pad": {"a": [1, 2]}}"#,
+            r#"{"ListUseCases": null}"#,
+            r#""ListUseCases""#,
+            r#"[1, 2"#,
+            "",
+        ];
+        for line in lines {
+            let (reply, _) = engine.dispatch_line(line);
+            match tree_framing(line) {
+                Some(id) => {
+                    let reply: Reply = serde_json::from_str(&reply).unwrap();
+                    assert_eq!(reply.id, id, "{line}");
+                }
+                None => {
+                    assert!(serde_json::from_str::<Response>(&reply).is_ok(), "{line}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1181,6 +1181,38 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_decode_error_not_a_stack_overflow() {
+        const LEVELS: usize = 100_000;
+        let half = 1 << 19;
+        let hostile = [
+            "[".repeat(1 << 20),
+            format!(
+                "{}\"ListUseCases\"{}",
+                "{\"Batch\":[".repeat(LEVELS),
+                "]}".repeat(LEVELS)
+            ),
+            format!(
+                "{{\"id\":3,\"body\":\"ListUseCases\",\"pad\":{}{}}}",
+                "[".repeat(half),
+                "]".repeat(half)
+            ),
+        ];
+        for doc in &hostile {
+            assert!(serde_json::from_str::<Request>(doc).is_err());
+            assert!(serde_json::from_str::<Envelope>(doc).is_err());
+            assert!(serde_json::from_str::<serde::Value>(doc).is_err());
+        }
+        // Just inside the bound, a batch still decodes.
+        let levels = serde::MAX_DEPTH / 2;
+        let deepest = format!(
+            "{}\"ListUseCases\"{}",
+            "{\"Batch\":[".repeat(levels),
+            "]}".repeat(levels)
+        );
+        assert!(serde_json::from_str::<Request>(&deepest).is_ok());
+    }
+
+    #[test]
     fn api_error_display_and_conversion() {
         let e = ApiError::new(ErrorCode::NoKpi, "pick a KPI");
         assert_eq!(e.to_string(), "[no_kpi] pick a KPI");

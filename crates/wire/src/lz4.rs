@@ -13,10 +13,12 @@
 //! ```
 //!
 //! The final sequence carries literals only (no offset/match). Matches
-//! are found with a greedy hash-chain searcher: a 15-bit hash of every
-//! 4-byte prefix heads a per-position chain, and the longest of the
-//! first [`MAX_PROBES`] candidates within the 64 KiB offset window
-//! wins. The decompressor is fully bounds-checked — corrupt input
+//! are found with a greedy hash-chain searcher: a hash of every 4-byte
+//! prefix heads a per-position chain, and the longest of the first
+//! [`MAX_PROBES`] candidates within the 64 KiB offset window wins. The
+//! hash table is sized to the input, from 2^8 entries up to 2^15 for
+//! inputs of 32 KiB or more, so a ~300 B reply frame does not fill a
+//! 128 KiB table. The decompressor is fully bounds-checked — corrupt input
 //! yields a typed [`WireError`], never a panic or out-of-bounds copy —
 //! and round-trips are byte-exact (pinned by `tests/wire_roundtrip.rs`).
 
@@ -31,15 +33,25 @@ pub const MAX_OFFSET: usize = 65_535;
 /// The final bytes of a block are always literals, so the decompressor
 /// can copy matches without overrunning its output tail.
 const LAST_LITERALS: usize = 5;
-const HASH_BITS: u32 = 15;
+/// Hash table size bounds, as bit counts: 2^8 to 2^15 entries.
+const MIN_HASH_BITS: u32 = 8;
+const MAX_HASH_BITS: u32 = 15;
 /// Hash-chain candidates examined per position; greedy, so the first
 /// longest match wins.
 const MAX_PROBES: usize = 16;
 
+/// Bits of hash for an input of `len` bytes: about one table entry per
+/// input byte, within [`MIN_HASH_BITS`]..=[`MAX_HASH_BITS`].
+fn hash_bits(len: usize) -> u32 {
+    len.next_power_of_two()
+        .trailing_zeros()
+        .clamp(MIN_HASH_BITS, MAX_HASH_BITS)
+}
+
 #[inline]
-fn hash4(v: u32) -> usize {
+fn hash4(v: u32, bits: u32) -> usize {
     // Knuth multiplicative hash over the 4-byte window.
-    u32_to_usize(v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS))
+    u32_to_usize(v.wrapping_mul(2_654_435_761) >> (32 - bits))
 }
 
 #[inline]
@@ -59,12 +71,13 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
     }
     // Matches may extend up to here; the tail stays literal.
     let match_limit = src.len() - LAST_LITERALS;
-    let mut head = vec![u32::MAX; 1 << HASH_BITS];
+    let bits = hash_bits(src.len());
+    let mut head = vec![u32::MAX; 1 << bits];
     let mut chain = vec![u32::MAX; src.len()];
     let mut anchor = 0usize;
     let mut i = 0usize;
     while i + MIN_MATCH <= match_limit {
-        let h = hash4(read_u32(src, i));
+        let h = hash4(read_u32(src, i), bits);
         let (mut best_len, mut best_pos) = (0usize, 0usize);
         let mut cand = head[h];
         let mut probes = 0;
@@ -94,7 +107,7 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
             let insert_end = end.min(i + 64);
             let mut p = i + 1;
             while p + MIN_MATCH <= match_limit && p < insert_end {
-                let hp = hash4(read_u32(src, p));
+                let hp = hash4(read_u32(src, p), bits);
                 chain[p] = head[hp];
                 head[hp] = len_to_u32(p);
                 p += 1;

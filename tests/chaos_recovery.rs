@@ -4,7 +4,8 @@
 //! connection, and no panic. Also pins the robustness features the
 //! fault points drove into the server: request deadlines (v2 + v3),
 //! admission-control shedding, client socket timeouts, bounded
-//! retry-with-backoff, 1-byte I/O resilience, and graceful drain.
+//! retry-with-backoff, 1-byte I/O resilience, graceful drain, and
+//! hostile JSON nesting answered with a typed error.
 //!
 //! Fault points are process-global, so every test here serializes its
 //! armed window through one lock and disarms on the way out.
@@ -19,9 +20,12 @@ use whatif_core::ErrorCode;
 use whatif_server::tcp::{serve_with_options, ServeOptions};
 use whatif_server::v3::RetryPolicy;
 use whatif_server::{
-    serve_with_engine, Client, Engine, Request, Response, UseCase, V3Client, V3Error,
+    serve_with_engine, Client, Engine, Reply, Request, Response, UseCase, V3Client, V3Error,
 };
-use whatif_wire::{DriverColumn, PerturbKind, ScenarioGridRequest};
+use whatif_wire::{
+    DriverColumn, FrameEvent, FrameType, PerturbKind, ReplyBody, RequestBody, ScenarioGridRequest,
+    WireReply, WireRequest,
+};
 
 /// Chaos arming is process-global; hold this across any armed window.
 fn serial() -> MutexGuard<'static, ()> {
@@ -565,4 +569,85 @@ fn chaos_is_inert_in_release_builds() {
     assert!(whatif_chaos::registered().is_empty());
     assert_eq!(whatif_chaos::injected_total(), 0);
     whatif_chaos::disarm_all();
+}
+
+/// The three hostile documents: a 1 MiB line of `[`, a request nested
+/// 100 000 `Batch` levels deep, and a valid `ListUseCases` envelope
+/// whose unknown field holds 1 MiB of balanced nested arrays.
+fn hostile_lines() -> Vec<(&'static str, String)> {
+    const LEVELS: usize = 100_000;
+    let half = 1 << 19;
+    vec![
+        ("open brackets", "[".repeat(1 << 20)),
+        (
+            "nested batches",
+            format!(
+                "{}\"ListUseCases\"{}",
+                "{\"Batch\":[".repeat(LEVELS),
+                "]}".repeat(LEVELS)
+            ),
+        ),
+        (
+            "deep unknown field",
+            format!(
+                "{{\"id\":3,\"body\":\"ListUseCases\",\"pad\":{}{}}}",
+                "[".repeat(half),
+                "]".repeat(half)
+            ),
+        ),
+    ]
+}
+
+/// A reply line is a typed `BadRequest`, in either JSON framing.
+fn assert_bad_request_line(what: &str, line: &str) {
+    let error = match serde_json::from_str::<Reply>(line) {
+        Ok(reply) => reply.error,
+        Err(_) => serde_json::from_str::<Response>(line)
+            .unwrap_or_else(|e| panic!("{what}: unparseable reply {line:?}: {e}"))
+            .as_error()
+            .cloned(),
+    };
+    let error = error.unwrap_or_else(|| panic!("{what}: expected an error, got {line:?}"));
+    assert_eq!(error.code, ErrorCode::BadRequest, "{what}: {error}");
+}
+
+/// Hostile nesting gets a typed `BadRequest` over JSON lines and as a
+/// v3 opcode-1 body, instead of overflowing the connection thread's
+/// stack and aborting the process; the server keeps answering.
+#[test]
+fn hostile_nesting_gets_a_typed_error_not_an_abort() {
+    let _guard = serial();
+    whatif_chaos::disarm_all();
+    let engine = Arc::new(Engine::new());
+    let (addr, handle) = serve_with_engine("127.0.0.1:0", Arc::clone(&engine)).unwrap();
+    for (what, line) in hostile_lines() {
+        let mut json = Client::connect(addr).unwrap();
+        let reply = json
+            .send_raw(&line)
+            .expect("the JSON connection must answer");
+        assert_bad_request_line(what, &reply);
+
+        let mut v3 = V3Client::connect(addr).unwrap();
+        v3.send(&WireRequest {
+            id: 5,
+            deadline_ms: 0,
+            body: RequestBody::Json(line),
+        })
+        .unwrap();
+        let FrameEvent::Frame(frame) = v3.read_event().unwrap() else {
+            panic!("{what}: expected a reply frame");
+        };
+        assert_eq!(frame.frame_type, FrameType::Reply, "{what}");
+        let ReplyBody::Json(reply) = WireReply::decode(&frame.payload).unwrap().body else {
+            panic!("{what}: expected a JSON reply body");
+        };
+        assert_bad_request_line(what, &reply);
+        assert_server_alive(addr);
+    }
+    let mut admin = Client::connect(addr).unwrap();
+    assert_eq!(
+        admin.call(&Request::Shutdown).unwrap(),
+        Response::ShuttingDown
+    );
+    handle.join().unwrap();
 }
