@@ -1,83 +1,12 @@
 //! Prediction latency: the sensitivity-slider hot path. Every slider
 //! move re-scores the whole dataset, so full-matrix prediction cost is
-//! the interactive budget. Also compares the seed row-major batch path
-//! against the tree-major flattened path (bit-identical, pinned by
-//! `tests/forest_equivalence.rs`) and emits `BENCH_predict.json`.
+//! the interactive budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use whatif_bench::experiments::{predict_bench, write_predict_bench_json, Scale};
 use whatif_core::model_backend::{ModelConfig, ModelKind};
 use whatif_core::session::Session;
 use whatif_datagen::make_classification;
-use whatif_learn::forest::ForestConfig;
-use whatif_learn::{Classifier as _, MatrixView, Predictor as _, RandomForestClassifier};
-
-/// Old-vs-new batched forest prediction: row-major per-row tree loops
-/// (per-row shape checks) vs tree-major blocked flattened traversal.
-fn bench_predict_paths(c: &mut Criterion) {
-    // Emit the report first: `cargo bench -p whatif-bench --bench
-    // bench_predict` always leaves BENCH_predict.json behind.
-    let report = predict_bench(Scale::Quick, 7);
-    write_predict_bench_json("BENCH_predict.json", &report).expect("write BENCH_predict.json");
-    println!(
-        "BENCH_predict.json: dense {:.2}x ({:.2} ms -> {:.2} ms), \
-         overlay {:.2}x ({:.2} ms -> {:.2} ms)",
-        report.dense_speedup,
-        report.dense_rowmajor_ms,
-        report.dense_treemajor_ms,
-        report.overlay_speedup,
-        report.overlay_rowmajor_ms,
-        report.overlay_treemajor_ms,
-    );
-
-    let data = make_classification(2_000, 12, 6, 0.5, 3);
-    let session = Session::new(data.frame.clone())
-        .with_kpi(&data.kpi)
-        .expect("kpi");
-    let cfg = ModelConfig {
-        kind: ModelKind::RandomForest,
-        n_trees: 1, // only the matrix/labels are needed here
-        holdout_fraction: 0.0,
-        ..ModelConfig::default()
-    };
-    let model = session.train(&cfg).expect("fit");
-    let x = model.matrix().clone();
-    let labels: Vec<u8> = model
-        .targets()
-        .iter()
-        .map(|&v| u8::from(v >= 0.5))
-        .collect();
-    let mut forest = RandomForestClassifier::new(ForestConfig {
-        n_trees: 40,
-        seed: 7,
-        n_threads: 1,
-        ..ForestConfig::default()
-    });
-    forest.fit(&x, &labels).expect("fit");
-    let mut out = vec![0.0; x.n_rows()];
-
-    let mut group = c.benchmark_group("predict_forest");
-    group
-        .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    group.bench_function("rowmajor_seed", |b| {
-        b.iter(|| {
-            forest
-                .predict_batch_rowmajor(MatrixView::Dense(&x), &mut out)
-                .expect("predict")
-        })
-    });
-    group.bench_function("treemajor_flat", |b| {
-        b.iter(|| {
-            forest
-                .predict_batch(MatrixView::Dense(&x), &mut out)
-                .expect("predict")
-        })
-    });
-    group.finish();
-}
 
 fn bench_predict(c: &mut Criterion) {
     let mut group = c.benchmark_group("predict");
@@ -119,5 +48,5 @@ fn bench_predict(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_predict_paths, bench_predict);
+criterion_group!(benches, bench_predict);
 criterion_main!(benches);

@@ -1,12 +1,10 @@
 //! Model-fit latency: interpretable linear/logistic models vs random
 //! forests — the cost side of the paper's §5 interpretability-vs-
-//! accuracy trade-off — plus the old-vs-new forest-trainer comparison
-//! (seed gather-and-sort vs presorted split finding), whose
-//! machine-readable report lands in `BENCH_train.json`.
+//! accuracy trade-off — plus the forest's two training tiers (exact
+//! presorted vs histogram-binned) on the same data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use whatif_bench::experiments::{train_bench, write_train_bench_json, Scale};
 use whatif_core::model_backend::{ModelConfig, ModelKind};
 use whatif_core::session::Session;
 use whatif_datagen::{deal_closing, make_classification, make_regression};
@@ -23,31 +21,10 @@ fn config(kind: ModelKind, n_trees: usize) -> ModelConfig {
     }
 }
 
-/// Old-vs-new forest trainer on the deal-closing data: the seed per-node
-/// gather-and-sort path against the presorted path, which must be
-/// bit-identical (pinned by `tests/forest_equivalence.rs`) and faster.
+/// The forest's two training tiers on the deal-closing data: the exact
+/// presorted trainer (bit-identical to the seed CART, pinned by
+/// `tests/forest_equivalence.rs`) and the histogram-binned tier.
 fn bench_trainer_paths(c: &mut Criterion) {
-    // Emit the report first: `cargo bench -p whatif-bench --bench
-    // bench_train` always leaves BENCH_train.json behind.
-    let report = train_bench(Scale::Quick, 7);
-    write_train_bench_json("BENCH_train.json", &report).expect("write BENCH_train.json");
-    println!(
-        "BENCH_train.json: classifier {:.2}x ({:.1} ms -> {:.1} ms), \
-         regressor {:.2}x ({:.1} ms -> {:.1} ms)",
-        report.classifier_speedup,
-        report.classifier_reference_ms,
-        report.classifier_presorted_ms,
-        report.regressor_speedup,
-        report.regressor_reference_ms,
-        report.regressor_presorted_ms,
-    );
-    for row in &report.binned {
-        println!(
-            "  binned {}x{}: {:.2}x ({:.1} ms presorted -> {:.1} ms binned, {} trees)",
-            row.n_rows, row.n_features, row.speedup, row.presorted_ms, row.binned_ms, row.n_trees,
-        );
-    }
-
     let dataset = deal_closing(600, 7);
     let session = Session::new(dataset.frame.clone())
         .with_kpi(&dataset.kpi)
@@ -82,13 +59,6 @@ fn bench_trainer_paths(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    group.bench_function("reference_sort", |b| {
-        b.iter(|| {
-            let mut f = RandomForestClassifier::new(config.clone());
-            f.fit_reference(&x, &labels).expect("fit");
-            f
-        })
-    });
     group.bench_function("presorted", |b| {
         b.iter(|| {
             let mut f = RandomForestClassifier::new(config.clone());

@@ -22,8 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "u3-deal",
     "opt-compare",
     "robustness",
-    "train",
-    "predict",
     "wire",
     "obs",
 ];
@@ -87,12 +85,6 @@ fn main() {
     }
     if should("robustness") {
         robustness(scale, seed);
-    }
-    if should("train") {
-        train(scale, seed);
-    }
-    if should("predict") {
-        predict(scale, seed);
     }
     if should("wire") {
         wire(scale, seed);
@@ -343,57 +335,6 @@ fn opt_compare(scale: Scale, seed: u64) {
         println!();
     }
     println!("(cells are best deal-close KPI found at that evaluation budget)");
-}
-
-fn train(scale: Scale, seed: u64) {
-    header("train — presorted vs seed forest training (ROADMAP perf track)");
-    let r = experiments::train_bench(scale, seed);
-    println!(
-        "workload: {} rows x {} features, {} trees, mean of {} reps",
-        r.n_rows, r.n_features, r.n_trees, r.reps
-    );
-    println!(
-        "classifier: {:.2}x ({:.1} ms reference -> {:.1} ms presorted)",
-        r.classifier_speedup, r.classifier_reference_ms, r.classifier_presorted_ms
-    );
-    println!(
-        "regressor:  {:.2}x ({:.1} ms reference -> {:.1} ms presorted)",
-        r.regressor_speedup, r.regressor_reference_ms, r.regressor_presorted_ms
-    );
-    for row in &r.binned {
-        println!(
-            "binned {}x{}: {:.2}x ({:.1} ms presorted -> {:.1} ms binned, {} trees, depth {})",
-            row.n_rows,
-            row.n_features,
-            row.speedup,
-            row.presorted_ms,
-            row.binned_ms,
-            row.n_trees,
-            row.max_depth
-        );
-    }
-    experiments::write_train_bench_json("BENCH_train.json", &r).expect("write BENCH_train.json");
-    println!("wrote BENCH_train.json");
-}
-
-fn predict(scale: Scale, seed: u64) {
-    header("predict — tree-major flattened vs seed row-major batch prediction");
-    let r = experiments::predict_bench(scale, seed);
-    println!(
-        "workload: {} rows x {} features, {} trees, {} thread(s), mean of {} reps",
-        r.n_rows, r.n_features, r.n_trees, r.n_threads, r.reps
-    );
-    println!(
-        "dense:   {:.2}x ({:.2} ms row-major -> {:.2} ms tree-major)",
-        r.dense_speedup, r.dense_rowmajor_ms, r.dense_treemajor_ms
-    );
-    println!(
-        "overlay: {:.2}x ({:.2} ms row-major -> {:.2} ms tree-major)",
-        r.overlay_speedup, r.overlay_rowmajor_ms, r.overlay_treemajor_ms
-    );
-    experiments::write_predict_bench_json("BENCH_predict.json", &r)
-        .expect("write BENCH_predict.json");
-    println!("wrote BENCH_predict.json");
 }
 
 fn wire(scale: Scale, seed: u64) {

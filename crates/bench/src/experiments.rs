@@ -436,404 +436,6 @@ fn write_json<T: serde::Serialize>(path: &str, report: &T) -> std::io::Result<()
     std::fs::write(path, json + "\n")
 }
 
-/// The forest configuration the what-if model backend would use at this
-/// scale, reconstructed for direct `whatif_learn` benchmarking.
-fn forest_config(scale: Scale, seed: u64, n_threads: usize) -> whatif_learn::forest::ForestConfig {
-    let mcfg = scale.model_config();
-    whatif_learn::forest::ForestConfig {
-        n_trees: mcfg.n_trees,
-        tree: whatif_learn::tree::TreeConfig {
-            max_depth: mcfg.max_depth,
-            max_features: mcfg.max_features,
-            ..whatif_learn::tree::TreeConfig::default()
-        },
-        seed,
-        n_threads,
-        ..whatif_learn::forest::ForestConfig::default()
-    }
-}
-
-/// The deal-closing training set as raw learn-level inputs: the feature
-/// matrix, binary labels for the classifier family, and a deterministic
-/// continuous mixture of the drivers for the regressor family (the
-/// forest benches care about cost, not fit quality).
-fn forest_bench_data(scale: Scale, seed: u64) -> (whatif_learn::Matrix, Vec<u8>, Vec<f64>) {
-    let (_, model) = train_deal_model(scale, seed);
-    let x = model.matrix().clone();
-    let labels: Vec<u8> = model
-        .targets()
-        .iter()
-        .map(|&v| u8::from(v >= 0.5))
-        .collect();
-    let y_reg: Vec<f64> = (0..x.n_rows())
-        .map(|i| {
-            x.row(i)
-                .iter()
-                .enumerate()
-                .map(|(j, &v)| v * (1.0 + j as f64 * 0.37))
-                .sum::<f64>()
-        })
-        .collect();
-    (x, labels, y_reg)
-}
-
-/// Machine-readable report of the old-vs-new forest *training* benchmark,
-/// written to `BENCH_train.json`: wall clock of the seed gather-and-sort
-/// trainer vs the presorted trainer at bench scale, for both forest
-/// families. The two trainers produce bit-identical forests (pinned by
-/// `tests/forest_equivalence.rs`), so the ratio is pure hot-path win.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct TrainBenchReport {
-    /// Training rows.
-    pub n_rows: usize,
-    /// Feature columns.
-    pub n_features: usize,
-    /// Trees per forest.
-    pub n_trees: usize,
-    /// Timed repetitions per measurement (means reported).
-    pub reps: usize,
-    /// Mean wall ms: seed trainer, classification forest.
-    pub classifier_reference_ms: f64,
-    /// Mean wall ms: presorted trainer, classification forest.
-    pub classifier_presorted_ms: f64,
-    /// `classifier_reference_ms / classifier_presorted_ms`.
-    pub classifier_speedup: f64,
-    /// Mean wall ms: seed trainer, regression forest.
-    pub regressor_reference_ms: f64,
-    /// Mean wall ms: presorted trainer, regression forest.
-    pub regressor_presorted_ms: f64,
-    /// `regressor_reference_ms / regressor_presorted_ms`.
-    pub regressor_speedup: f64,
-    /// Presorted-vs-binned rows at interactive-loop scales (20k and
-    /// 200k rows × 24 features; tree counts scaled down with size).
-    /// The binned tier is approximate — these rows measure the O(bins)
-    /// split-scan win, not bit-identical output.
-    #[serde(default)]
-    pub binned: Vec<BinnedTrainRow>,
-}
-
-/// One presorted-vs-binned training measurement at a fixed scale.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct BinnedTrainRow {
-    /// Training rows.
-    pub n_rows: usize,
-    /// Feature columns.
-    pub n_features: usize,
-    /// Trees per forest.
-    pub n_trees: usize,
-    /// Tree depth cap.
-    pub max_depth: usize,
-    /// Timed repetitions per measurement (minimum reported).
-    pub reps: usize,
-    /// Min wall ms: exact presorted trainer.
-    pub presorted_ms: f64,
-    /// Min wall ms: histogram-binned trainer (256 bins).
-    pub binned_ms: f64,
-    /// `presorted_ms / binned_ms`.
-    pub speedup: f64,
-}
-
-/// Synthetic dense regression data for the binned-tier scaling rows:
-/// xorshift features in `[0, 1)` and a smooth nonlinear target, so
-/// split finding sees many distinct cut candidates per feature (the
-/// regime where exact scans pay per-row and histograms pay per-bin).
-fn binned_bench_data(
-    n_rows: usize,
-    n_features: usize,
-    seed: u64,
-) -> (whatif_learn::Matrix, Vec<f64>) {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut data = vec![0.0f64; n_rows * n_features];
-    for v in &mut data {
-        *v = next();
-    }
-    let y: Vec<f64> = (0..n_rows)
-        .map(|i| {
-            let r = &data[i * n_features..(i + 1) * n_features];
-            (6.0 * r[0]).sin() + r[1] * r[2] + 2.0 * r[3] + 0.1 * next()
-        })
-        .collect();
-    (
-        whatif_learn::Matrix::from_vec(data, n_rows, n_features).expect("dims match"),
-        y,
-    )
-}
-
-/// Time the exact presorted trainer against the histogram-binned tier
-/// on one synthetic regression scale.
-///
-/// # Panics
-/// Panics on internal errors — experiments are top-level binaries and a
-/// failure should abort loudly.
-pub fn binned_train_row(
-    n_rows: usize,
-    n_features: usize,
-    n_trees: usize,
-    max_depth: usize,
-    reps: usize,
-    seed: u64,
-) -> BinnedTrainRow {
-    use std::time::Instant;
-    use whatif_learn::Regressor as _;
-
-    let (x, y) = binned_bench_data(n_rows, n_features, seed);
-    let config = |trainer| whatif_learn::forest::ForestConfig {
-        n_trees,
-        tree: whatif_learn::tree::TreeConfig {
-            max_depth,
-            ..whatif_learn::tree::TreeConfig::default()
-        },
-        seed,
-        n_threads: 4,
-        trainer,
-        ..whatif_learn::forest::ForestConfig::default()
-    };
-    // Min-of-reps, interleaved: on a shared machine the noise is
-    // one-sided (slowdowns only), so the minimum is the stable
-    // estimator of the true cost where a mean folds the noise in.
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..reps {
-        for (slot, trainer) in [
-            (0usize, whatif_learn::Trainer::Presorted),
-            (1, whatif_learn::Trainer::Binned),
-        ] {
-            let t = Instant::now();
-            let mut f = whatif_learn::RandomForestRegressor::new(config(trainer));
-            f.fit(&x, &y).expect("fit");
-            best[slot] = best[slot].min(ms(t.elapsed()));
-        }
-    }
-    let presorted_ms = best[0];
-    let binned_ms = best[1];
-    BinnedTrainRow {
-        n_rows,
-        n_features,
-        n_trees,
-        max_depth,
-        reps,
-        presorted_ms,
-        binned_ms,
-        speedup: presorted_ms / binned_ms,
-    }
-}
-
-/// Run the old-vs-new forest training benchmark on the deal-closing
-/// data at the given scale.
-///
-/// # Panics
-/// Panics on internal errors — experiments are top-level binaries and a
-/// failure should abort loudly.
-pub fn train_bench(scale: Scale, seed: u64) -> TrainBenchReport {
-    use std::time::Instant;
-    use whatif_learn::{Classifier as _, Regressor as _};
-
-    let (x, labels, y_reg) = forest_bench_data(scale, seed);
-    let config = forest_config(scale, seed, scale.model_config().n_threads);
-    let reps = match scale {
-        Scale::Full => 3,
-        Scale::Quick => 5,
-    };
-    // Interleave the four measurements round-robin so slow drift in
-    // machine load cancels out of the ratios.
-    let mut totals = [0.0f64; 4];
-    for _ in 0..reps {
-        let timed = |f: &mut dyn FnMut()| -> f64 {
-            let t = Instant::now();
-            f();
-            ms(t.elapsed())
-        };
-        totals[0] += timed(&mut || {
-            let mut f = whatif_learn::RandomForestClassifier::new(config.clone());
-            f.fit_reference(&x, &labels).expect("reference fit");
-        });
-        totals[1] += timed(&mut || {
-            let mut f = whatif_learn::RandomForestClassifier::new(config.clone());
-            f.fit(&x, &labels).expect("presorted fit");
-        });
-        totals[2] += timed(&mut || {
-            let mut f = whatif_learn::RandomForestRegressor::new(config.clone());
-            f.fit_reference(&x, &y_reg).expect("reference fit");
-        });
-        totals[3] += timed(&mut || {
-            let mut f = whatif_learn::RandomForestRegressor::new(config.clone());
-            f.fit(&x, &y_reg).expect("presorted fit");
-        });
-    }
-    let classifier_reference_ms = totals[0] / reps as f64;
-    let classifier_presorted_ms = totals[1] / reps as f64;
-    let regressor_reference_ms = totals[2] / reps as f64;
-    let regressor_presorted_ms = totals[3] / reps as f64;
-    // Binned-tier scaling rows: both interactive-loop scales. Tree
-    // counts shrink with row count (40 is well under the 100-tree
-    // default forest) so each row stays seconds of wall clock while
-    // still amortizing the one-time quantization the way real forests
-    // do.
-    let binned = vec![
-        binned_train_row(20_000, 24, 40, 8, 3, seed),
-        binned_train_row(200_000, 24, 12, 8, 3, seed),
-    ];
-    TrainBenchReport {
-        n_rows: x.n_rows(),
-        n_features: x.n_cols(),
-        n_trees: config.n_trees,
-        reps,
-        classifier_reference_ms,
-        classifier_presorted_ms,
-        classifier_speedup: classifier_reference_ms / classifier_presorted_ms,
-        regressor_reference_ms,
-        regressor_presorted_ms,
-        regressor_speedup: regressor_reference_ms / regressor_presorted_ms,
-        binned,
-    }
-}
-
-/// Serialize a [`TrainBenchReport`] to `path` (the `BENCH_train.json`
-/// emitter).
-///
-/// # Errors
-/// Propagated I/O errors from writing the file.
-pub fn write_train_bench_json(path: &str, report: &TrainBenchReport) -> std::io::Result<()> {
-    write_json(path, report)
-}
-
-/// Machine-readable report of the old-vs-new forest *prediction*
-/// benchmark, written to `BENCH_predict.json`: cold full-matrix batch
-/// prediction through the seed row-major path (per-row tree loop,
-/// per-row shape checks) vs the tree-major blocked flattened path, on
-/// dense input and on a copy-on-write [`whatif_learn::ColumnOverlay`].
-/// Single-threaded on both sides so the ratio isolates the per-core
-/// layout win rather than thread scheduling.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct PredictBenchReport {
-    /// Rows per batch.
-    pub n_rows: usize,
-    /// Feature columns.
-    pub n_features: usize,
-    /// Trees in the forest.
-    pub n_trees: usize,
-    /// Timed repetitions per measurement (means reported).
-    pub reps: usize,
-    /// Worker threads (1: per-core comparison).
-    pub n_threads: usize,
-    /// Mean wall ms per dense batch, seed row-major path.
-    pub dense_rowmajor_ms: f64,
-    /// Mean wall ms per dense batch, tree-major flattened path.
-    pub dense_treemajor_ms: f64,
-    /// `dense_rowmajor_ms / dense_treemajor_ms`.
-    pub dense_speedup: f64,
-    /// Mean wall ms per overlay batch, seed row-major path.
-    pub overlay_rowmajor_ms: f64,
-    /// Mean wall ms per overlay batch, tree-major flattened path.
-    pub overlay_treemajor_ms: f64,
-    /// `overlay_rowmajor_ms / overlay_treemajor_ms`.
-    pub overlay_speedup: f64,
-}
-
-/// Run the old-vs-new batched prediction benchmark on a forest trained
-/// on the deal-closing data at the given scale.
-///
-/// # Panics
-/// Panics on internal errors (including any old/new output divergence —
-/// the outputs are compared bit for bit before timing).
-pub fn predict_bench(scale: Scale, seed: u64) -> PredictBenchReport {
-    use std::time::Instant;
-    use whatif_learn::{Classifier as _, ColumnOverlay, MatrixView, Predictor as _};
-
-    let (x, labels, _) = forest_bench_data(scale, seed);
-    let config = forest_config(scale, seed, 1);
-    let mut forest = whatif_learn::RandomForestClassifier::new(config);
-    forest.fit(&x, &labels).expect("fit");
-    // The "old" side in the seed's enum-arena layout, converted once
-    // outside the timed region.
-    let seed_forest = forest.seed_layout();
-    let mut overlay = ColumnOverlay::new(&x);
-    overlay.map_col(0, |v| v * 1.4).expect("column exists");
-
-    let n = x.n_rows();
-    let mut out_new = vec![0.0; n];
-    let mut out_old = vec![0.0; n];
-    for view in [MatrixView::Dense(&x), MatrixView::Overlay(&overlay)] {
-        forest.predict_batch(view, &mut out_new).expect("predict");
-        seed_forest
-            .predict_batch(view, &mut out_old)
-            .expect("predict");
-        assert!(
-            out_new
-                .iter()
-                .zip(&out_old)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "tree-major and row-major paths diverged"
-        );
-    }
-
-    let reps = match scale {
-        Scale::Full => 30,
-        Scale::Quick => 40,
-    };
-    // Interleave the four measurements round-robin so slow drift in
-    // machine load cancels out of the ratios.
-    let mut totals = [0.0f64; 4];
-    for _ in 0..reps {
-        let timed = |f: &mut dyn FnMut()| -> f64 {
-            let t = Instant::now();
-            f();
-            ms(t.elapsed())
-        };
-        totals[0] += timed(&mut || {
-            seed_forest
-                .predict_batch(MatrixView::Dense(&x), &mut out_old)
-                .expect("predict");
-        });
-        totals[1] += timed(&mut || {
-            forest
-                .predict_batch(MatrixView::Dense(&x), &mut out_new)
-                .expect("predict");
-        });
-        totals[2] += timed(&mut || {
-            seed_forest
-                .predict_batch(MatrixView::Overlay(&overlay), &mut out_old)
-                .expect("predict");
-        });
-        totals[3] += timed(&mut || {
-            forest
-                .predict_batch(MatrixView::Overlay(&overlay), &mut out_new)
-                .expect("predict");
-        });
-    }
-    let dense_rowmajor_ms = totals[0] / reps as f64;
-    let dense_treemajor_ms = totals[1] / reps as f64;
-    let overlay_rowmajor_ms = totals[2] / reps as f64;
-    let overlay_treemajor_ms = totals[3] / reps as f64;
-    PredictBenchReport {
-        n_rows: n,
-        n_features: x.n_cols(),
-        n_trees: forest.n_trees(),
-        reps,
-        n_threads: 1,
-        dense_rowmajor_ms,
-        dense_treemajor_ms,
-        dense_speedup: dense_rowmajor_ms / dense_treemajor_ms,
-        overlay_rowmajor_ms,
-        overlay_treemajor_ms,
-        overlay_speedup: overlay_rowmajor_ms / overlay_treemajor_ms,
-    }
-}
-
-/// Serialize a [`PredictBenchReport`] to `path` (the
-/// `BENCH_predict.json` emitter).
-///
-/// # Errors
-/// Propagated I/O errors from writing the file.
-pub fn write_predict_bench_json(path: &str, report: &PredictBenchReport) -> std::io::Result<()> {
-    write_json(path, report)
-}
-
 /// One scenario-grid size measured across the three wire paths: a v2
 /// JSON-lines envelope, v3 binary frames with compression declined, and
 /// v3 with LZ4-style frame compression.
@@ -1548,52 +1150,6 @@ pub fn robustness(scale: Scale, base_seed: u64) -> RobustnessExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn train_bench_report_is_sane_and_serializable() {
-        let r = train_bench(Scale::Quick, 7);
-        assert!(r.n_rows > 0 && r.n_features > 0 && r.n_trees > 0);
-        assert!(r.classifier_reference_ms > 0.0 && r.classifier_presorted_ms > 0.0);
-        assert!(r.regressor_reference_ms > 0.0 && r.regressor_presorted_ms > 0.0);
-        // In release builds the presorted trainer must not lose to the
-        // seed trainer even at quick scale (guards against silent
-        // regressions); debug builds pay bounds checks the seed's
-        // sort-heavy path amortizes, so only sanity is asserted there.
-        if cfg!(debug_assertions) {
-            assert!(r.classifier_speedup > 0.0 && r.regressor_speedup > 0.0);
-        } else {
-            assert!(
-                r.classifier_speedup > 1.0,
-                "classifier speedup {}",
-                r.classifier_speedup
-            );
-            assert!(r.regressor_speedup > 0.5, "regressor speedup collapsed");
-        }
-        let json = serde_json::to_string(&r).unwrap();
-        let back: TrainBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_trees, r.n_trees);
-        assert_eq!(back.classifier_speedup, r.classifier_speedup);
-    }
-
-    #[test]
-    fn predict_bench_report_is_sane_and_serializable() {
-        let r = predict_bench(Scale::Quick, 7);
-        assert_eq!(r.n_threads, 1);
-        assert!(r.dense_rowmajor_ms > 0.0 && r.dense_treemajor_ms > 0.0);
-        assert!(r.overlay_rowmajor_ms > 0.0 && r.overlay_treemajor_ms > 0.0);
-        // predict_bench itself asserts old/new bit-identity before
-        // timing; here we only guard the ratio direction loosely (and
-        // not at all under debug bounds-checking).
-        if cfg!(debug_assertions) {
-            assert!(r.dense_speedup > 0.0);
-        } else {
-            assert!(r.dense_speedup > 0.8, "dense speedup {}", r.dense_speedup);
-        }
-        let json = serde_json::to_string(&r).unwrap();
-        let back: PredictBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_rows, r.n_rows);
-        assert_eq!(back.dense_speedup, r.dense_speedup);
-    }
 
     #[test]
     fn quick_importance_experiment_matches_paper_shape() {

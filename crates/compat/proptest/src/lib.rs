@@ -104,7 +104,7 @@ pub mod prop {
             VecStrategy { element, size }
         }
 
-        /// See [`vec`].
+        /// See [`fn@vec`].
         pub struct VecStrategy<S> {
             element: S,
             size: Range<usize>,

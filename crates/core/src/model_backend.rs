@@ -55,8 +55,8 @@ pub enum ModelKind {
 /// always binned).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum TrainerTier {
-    /// Exact presorted split scans — bit-identical to the seed
-    /// reference implementation.
+    /// Exact presorted split scans — bit-identical to the seed CART,
+    /// which the test suite keeps as its oracle.
     #[default]
     Exact,
     /// Histogram-binned O(bins) split scans: features quantized to at

@@ -10,8 +10,8 @@
 //!
 //! * **Hypothesis formula columns** — boolean drivers *derived* from the
 //!   raw activities (`Used 3+ Formulas In Two Weeks`,
-//!   `Attended 2+ Demo Meetings`), the mechanism business users add via
-//!   the expression layer.
+//!   `Attended 2+ Demo Meetings`), generated here as the product
+//!   manager's formulas would compute them.
 //! * **An "obvious predictor"** — `Days Active` dominates the signal;
 //!   the paper's product manager "explicitly asked us to remove an
 //!   obvious predictor and perform the functionalities again", which the
@@ -49,8 +49,9 @@ const INTERCEPT: f64 = -6.95;
 /// Latent noise standard deviation.
 const NOISE_STD: f64 = 0.8;
 
-/// Noise-free retention probability given raw activity values (ordered
-/// as in [`ACTIVITIES`]).
+/// Noise-free retention probability given raw activity values, in the
+/// order of the frame's activity columns (`Days Active` first,
+/// `Support Tickets` last).
 pub fn true_retention_probability(activities: &[f64]) -> f64 {
     let mut z = INTERCEPT;
     for (j, &(_, _, b)) in ACTIVITIES.iter().enumerate() {

@@ -37,8 +37,6 @@ pub enum FrameError {
         /// The number of rows available.
         n_rows: usize,
     },
-    /// Expression evaluation failed (type error, unknown column, ...).
-    Expr(String),
     /// CSV parsing failed.
     Csv {
         /// 1-based line number of the failure, when known.
@@ -46,7 +44,8 @@ pub enum FrameError {
         /// Description of the problem.
         message: String,
     },
-    /// Join or group-by failed, e.g. keys of unhashable type.
+    /// An operation's inputs do not fit together, e.g. `vstack` of
+    /// frames with different schemas.
     InvalidOperation(String),
 }
 
@@ -79,7 +78,6 @@ impl fmt::Display for FrameError {
                     "row index {row} out of bounds for frame with {n_rows} rows"
                 )
             }
-            FrameError::Expr(msg) => write!(f, "expression error: {msg}"),
             FrameError::Csv { line, message } => {
                 write!(f, "csv error at line {line}: {message}")
             }
@@ -125,6 +123,6 @@ mod tests {
     #[test]
     fn error_implements_std_error() {
         fn takes_err(_e: &dyn std::error::Error) {}
-        takes_err(&FrameError::Expr("boom".into()));
+        takes_err(&FrameError::InvalidOperation("boom".into()));
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
-use crate::expr::Expr;
 use crate::value::{DType, Value};
 
 /// An in-memory table: an ordered collection of equal-length named columns.
@@ -254,16 +253,6 @@ impl Frame {
         self.take(&indices)
     }
 
-    /// Keep rows where the boolean expression evaluates to true
-    /// (nulls are treated as false).
-    ///
-    /// # Errors
-    /// [`FrameError::Expr`] if the expression is not boolean-typed.
-    pub fn filter_expr(&self, predicate: &Expr) -> Result<Frame> {
-        let mask = predicate.eval_bool_mask(self)?;
-        self.filter(&mask)
-    }
-
     /// Contiguous row slice `[start, end)`, clamped.
     pub fn slice(&self, start: usize, end: usize) -> Frame {
         let mut out = Frame::new();
@@ -277,19 +266,6 @@ impl Frame {
     /// First `n` rows.
     pub fn head(&self, n: usize) -> Frame {
         self.slice(0, n)
-    }
-
-    /// Evaluate an expression and attach (or replace) the result as a column.
-    ///
-    /// This is the "hypothesis formula" mechanism from the paper's retention
-    /// use case (derived drivers such as *"3+ formulas in two weeks"*).
-    ///
-    /// # Errors
-    /// [`FrameError::Expr`] on evaluation failure.
-    pub fn derive(&mut self, name: &str, expr: &Expr) -> Result<()> {
-        let mut col = expr.eval(self)?;
-        col.set_name(name);
-        self.set_column(col)
     }
 
     /// Append the rows of `other`. Schemas (names and dtypes, in order)

@@ -3,56 +3,41 @@
 //! A from-scratch, in-memory **columnar dataframe** substrate for the
 //! SystemD what-if analysis reproduction (CIDR 2022).
 //!
-//! The paper's backend slices, dices, perturbs, and re-evaluates business
-//! datasets interactively. This crate provides the tabular layer those
-//! operations run on:
+//! SystemD's premise is that business users ask what-if questions of a
+//! model instead of slicing and dicing tables by hand, so this crate
+//! only holds and loads the tables the models train on:
 //!
 //! * [`Frame`] — a named collection of equal-length [`Column`]s.
 //! * [`Column`] — typed storage (`f64`, `i64`, `bool`, `String`) with an
 //!   optional validity mask for nulls.
-//! * [`expr::Expr`] — a small expression AST for derived columns and filter
-//!   predicates (the "hypothesis formulas" of the paper's retention use
-//!   case, e.g. *"used 3+ formulas in two weeks"*).
 //! * [`csv`] — RFC-4180-ish CSV reader/writer with type inference.
-//! * [`groupby`] / [`join`] — the slicing/dicing operations the paper's
-//!   intro motivates.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use whatif_frame::{Frame, Column};
-//! use whatif_frame::expr::Expr;
+//! use whatif_frame::{Column, Frame};
 //!
 //! let mut f = Frame::new();
 //! f.push_column(Column::from_f64("spend", vec![10.0, 20.0, 30.0])).unwrap();
 //! f.push_column(Column::from_f64("sales", vec![100.0, 180.0, 260.0])).unwrap();
 //!
-//! // Derived column: ROI = sales / spend
-//! let roi = Expr::col("sales").div(Expr::col("spend"));
-//! f.derive("roi", &roi).unwrap();
-//! assert_eq!(f.column("roi").unwrap().f64_values().unwrap(), &[10.0, 9.0, 26.0 / 3.0]);
-//!
-//! // Filter: spend > 15
-//! let big = f.filter_expr(&Expr::col("spend").gt(Expr::lit_f64(15.0))).unwrap();
+//! // Keep the rows with spend > 15.
+//! let spend = f.column("spend").unwrap().f64_values().unwrap();
+//! let mask: Vec<bool> = spend.iter().map(|&s| s > 15.0).collect();
+//! let big = f.filter(&mask).unwrap();
 //! assert_eq!(big.n_rows(), 2);
+//!
+//! // The model layer's hand-off: a row-major numeric matrix.
+//! assert_eq!(big.numeric_matrix(&["spend", "sales"]).unwrap(), [20.0, 180.0, 30.0, 260.0]);
 //! ```
 
 pub mod column;
 pub mod csv;
 pub mod error;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
-pub mod join;
-pub mod sort;
-pub mod summary;
 pub mod value;
 
 pub use column::{Column, ColumnData};
 pub use error::{FrameError, Result};
 pub use frame::Frame;
-pub use groupby::{AggSpec, Aggregation};
-pub use join::JoinKind;
-pub use sort::SortOrder;
-pub use summary::ColumnSummary;
 pub use value::{DType, Value};

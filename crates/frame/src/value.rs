@@ -41,7 +41,7 @@ impl fmt::Display for DType {
 
 /// A single dynamically-typed cell value.
 ///
-/// `Value` is the lingua franca between rows, expressions, and the JSON
+/// `Value` is the lingua franca between rows, CSV cells and the JSON
 /// protocol layer. Columns store values natively (structure-of-arrays);
 /// `Value` only materializes at API boundaries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1,7 +1,7 @@
 //! Histogram-binned tree growing and gradient-boosted ensembles.
 //!
-//! The exact trainers ([`crate::tree::Trainer::Reference`] /
-//! `Presorted`) scan O(rows) per feature per node. This module trades
+//! The exact trainer ([`crate::tree::Trainer::Presorted`]) scans
+//! O(rows) per feature per node. This module trades
 //! bit-identity for asymptotics: each feature is quantized **once per
 //! forest** to at most [`MAX_BINS`] quantile buckets, rows become a
 //! row-major `u8` bin matrix, and every split decision is made from
@@ -23,7 +23,7 @@
 //!   instead of a row scan.
 //!
 //! The tier is deterministic for a fixed seed (thread count never
-//! enters training) but **not** bit-identical to the exact tiers: bin
+//! enters training) but **not** bit-identical to the exact tier: bin
 //! boundaries coarsen the threshold candidates and f64 histogram
 //! arithmetic folds in bin order. Its contract is *accuracy* (AUC/MSE
 //! within ε of exact — see `tests/binned_accuracy.rs`), not
@@ -413,27 +413,6 @@ pub(crate) fn grow_binned<C: Criterion>(
     }
     g.grow(0, n, 0, root);
     FlatTree::from_parts(g.meta, g.thresh, p, g.importances, g.max_depth_seen)
-}
-
-/// Single-tree entry point ([`crate::tree`]'s `Trainer::Binned` route):
-/// builds a private quantization (reusing a caller-supplied presort
-/// when available) and grows one tree. Forests never call this — they
-/// share one [`BinnedDataset`] across all tree workers instead.
-pub(crate) fn grow_standalone<C: Criterion>(
-    x: &Matrix,
-    y: &[f64],
-    sample: &[usize],
-    config: &TreeConfig,
-    presort: Option<&FullPresort>,
-) -> FlatTree {
-    let data = match presort {
-        Some(ps) => BinnedDataset::from_presort(x, ps, MAX_BINS),
-        None => {
-            let ps = FullPresort::new(x, y);
-            BinnedDataset::from_presort(x, &ps, MAX_BINS)
-        }
-    };
-    grow_binned::<C>(&data, y, sample, config)
 }
 
 // ---------------------------------------------------------------------
@@ -866,6 +845,18 @@ mod tests {
         (x, ps)
     }
 
+    /// One binned tree on a private quantization of `x` (forests share
+    /// one [`BinnedDataset`] across their trees instead).
+    fn grow_standalone<C: Criterion>(
+        x: &Matrix,
+        y: &[f64],
+        sample: &[usize],
+        config: &TreeConfig,
+    ) -> FlatTree {
+        let data = BinnedDataset::from_presort(x, &FullPresort::new(x, y), MAX_BINS);
+        grow_binned::<C>(&data, y, sample, config)
+    }
+
     #[test]
     fn constant_feature_is_one_unsplittable_bin() {
         let (x, ps) = dataset(&[vec![3.5], vec![3.5], vec![3.5]]);
@@ -963,7 +954,7 @@ mod tests {
             min_samples_leaf: 1,
             ..TreeConfig::default()
         };
-        let t = grow_standalone::<Mse>(&x, &y, &sample, &cfg, None);
+        let t = grow_standalone::<Mse>(&x, &y, &sample, &cfg);
         // With every row distinct in feature 0 and unlimited depth the
         // tree can isolate the integer plateaus: training rows must
         // predict their own plateau value exactly.
@@ -979,7 +970,7 @@ mod tests {
         let x = Matrix::from_rows(&rows).unwrap();
         let sample: Vec<usize> = (0..100).collect();
         let cfg = TreeConfig::default();
-        let t = grow_standalone::<Gini>(&x, &y, &sample, &cfg, None);
+        let t = grow_standalone::<Gini>(&x, &y, &sample, &cfg);
         for (r, row) in rows.iter().enumerate() {
             assert_eq!(t.traverse(row), y[r], "row {r}");
         }

@@ -13,9 +13,8 @@
 //! flattened node arrays stay cache-hot across the block instead of the
 //! whole forest being dragged through cache once per row. The per-row
 //! shape check is hoisted to one check per batch. Both changes are
-//! bit-identical to the row-major seed path, which is retained as
-//! [`RandomForestClassifier::predict_batch_rowmajor`] (and the regressor
-//! twin) for equivalence tests and old-vs-new benchmarks.
+//! bit-identical to the seed's row-major `if x <= t` walk, which
+//! `tests/forest_equivalence.rs` keeps as its oracle.
 //!
 //! A view that moves one column of the training matrix can skip most
 //! of that work: both forest families (and both GBDT types) implement
@@ -35,7 +34,7 @@ use crate::model::{
 use crate::overlay::ColumnOverlay;
 use crate::tree::{
     check_no_nan_features, DecisionTreeClassifier, DecisionTreeRegressor, FlatTree, FullPresort,
-    Gini, Mse, SeedLayoutTree, Trainer, TreeConfig,
+    Gini, Mse, Trainer, TreeConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,11 +54,11 @@ pub struct ForestConfig {
     /// sequential), capped by [`worker_count`].
     pub n_threads: usize,
     /// Training tier. [`Trainer::Presorted`] is exact (bit-identical to
-    /// the seed); [`Trainer::Binned`] trades bit-identity for O(bins)
-    /// split scans (see `crate::binned`).
+    /// the seed CART); [`Trainer::Binned`] trades bit-identity for
+    /// O(bins) split scans (see [`crate::binned`]).
     pub trainer: Trainer,
     /// Bins per feature for the binned tier (clamped to `2..=256`);
-    /// ignored by the exact tiers.
+    /// ignored by the exact trainer.
     pub n_bins: usize,
 }
 
@@ -293,88 +292,6 @@ pub(crate) fn for_row_chunks(
     });
 }
 
-/// The seed batched-prediction path: row-major (each row walks every
-/// tree before the next row), with the per-row shape check still inside
-/// `predict_row`. Kept as the baseline side of the old-vs-new predict
-/// benchmark and the reference the equivalence tests pin the tree-major
-/// path against.
-fn forest_predict_batch_rowmajor<T: Predictor>(
-    trees: &[T],
-    n_threads: usize,
-    x: MatrixView<'_>,
-    out: &mut [f64],
-) -> Result<(), LearnError> {
-    if trees.is_empty() {
-        return Err(LearnError::NotFitted);
-    }
-    check_batch_shape(trees[0].n_features(), &x, out)?;
-    if out.is_empty() {
-        return Ok(());
-    }
-    let n_trees = trees.len() as f64;
-    let score_rows = |start: usize, chunk: &mut [f64]| -> Result<(), LearnError> {
-        let mut buf = vec![0.0; x.n_cols()];
-        for (offset, slot) in chunk.iter_mut().enumerate() {
-            let row: &[f64] = match x {
-                MatrixView::Dense(m) => m.row(start + offset),
-                MatrixView::Overlay(o) => {
-                    o.gather_row(start + offset, &mut buf);
-                    &buf
-                }
-            };
-            let mut sum = 0.0;
-            for t in trees {
-                sum += t.predict_row(row)?;
-            }
-            *slot = sum / n_trees;
-        }
-        Ok(())
-    };
-
-    let n_threads = batch_threads(n_threads, out.len(), trees.len());
-    if n_threads == 1 {
-        return score_rows(0, out);
-    }
-    let chunk_len = out.len().div_ceil(n_threads);
-    let results: Vec<Result<(), LearnError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(k, chunk)| {
-                let score_rows = &score_rows;
-                scope.spawn(move || score_rows(k * chunk_len, chunk))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("forest batch worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-/// A fitted forest re-expressed in the seed's per-tree enum-arena
-/// layout, with the seed's row-major batched prediction (per-row tree
-/// loop, per-row shape checks). This is the "old" side of the
-/// old-vs-new predict benchmark and the baseline the equivalence tests
-/// pin the tree-major flattened path against.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct SeedLayoutForest {
-    trees: Vec<SeedLayoutTree>,
-    n_threads: usize,
-}
-
-impl SeedLayoutForest {
-    /// The seed's batched prediction over the legacy node layout.
-    ///
-    /// # Errors
-    /// Same contract as [`Predictor::predict_batch`].
-    pub fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        forest_predict_batch_rowmajor(&self.trees, self.n_threads, x, out)
-    }
-}
-
 fn averaged_importances(per_tree: &[Vec<f64>], p: usize) -> Vec<f64> {
     let mut avg = vec![0.0; p];
     for imp in per_tree {
@@ -466,47 +383,6 @@ impl RandomForestClassifier {
         self.trees.len()
     }
 
-    /// Fit with the seed per-node gather-and-sort trainer — the
-    /// bit-identity baseline for equivalence tests and old-vs-new
-    /// benchmarks.
-    ///
-    /// # Errors
-    /// Same contract as [`Classifier::fit`].
-    #[doc(hidden)]
-    pub fn fit_reference(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
-        self.fit_impl(x, y, Trainer::Reference)
-    }
-
-    /// Re-express the fitted forest in the seed's enum-arena layout —
-    /// the baseline side of the old-vs-new predict benchmark.
-    #[doc(hidden)]
-    pub fn seed_layout(&self) -> SeedLayoutForest {
-        SeedLayoutForest {
-            trees: self
-                .trees
-                .iter()
-                .filter_map(|t| t.flat().map(FlatTree::to_seed_layout))
-                .collect(),
-            n_threads: self.config.n_threads,
-        }
-    }
-
-    /// The seed row-major batched prediction (legacy node layout,
-    /// per-row tree loop with per-row shape checks). Converts the
-    /// layout on every call — benchmarks should convert once via
-    /// [`Self::seed_layout`] instead.
-    ///
-    /// # Errors
-    /// Same contract as [`Predictor::predict_batch`].
-    #[doc(hidden)]
-    pub fn predict_batch_rowmajor(
-        &self,
-        x: MatrixView<'_>,
-        out: &mut [f64],
-    ) -> Result<(), LearnError> {
-        self.seed_layout().predict_batch(x, out)
-    }
-
     /// The fitted trees' flat layouts, in tree order.
     fn flats(&self) -> Vec<&FlatTree> {
         self.trees
@@ -515,7 +391,7 @@ impl RandomForestClassifier {
             .collect()
     }
 
-    fn fit_impl(&mut self, x: &Matrix, y: &[u8], trainer: Trainer) -> Result<(), LearnError> {
+    fn fit_impl(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
         check_binary_labels(x, y)?;
         // One NaN screen for the whole forest instead of one per tree.
         check_no_nan_features(x)?;
@@ -530,17 +406,10 @@ impl RandomForestClassifier {
         // (this is the "one-time per-forest" cost — tree workers never
         // sort or scan full-precision columns again).
         let yf: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
-        let presort = match trainer {
-            Trainer::Reference => None,
-            Trainer::Presorted | Trainer::Binned => Some(FullPresort::new(x, &yf)),
-        };
-        let binned = match trainer {
-            Trainer::Binned => Some(BinnedDataset::from_presort(
-                x,
-                presort.as_ref().expect("binned tier builds on the presort"),
-                self.config.n_bins,
-            )),
-            _ => None,
+        let presort = FullPresort::new(x, &yf);
+        let binned = match self.config.trainer {
+            Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
+            Trainer::Presorted => None,
         };
         let fitted = fit_trees(x.n_rows(), &self.config, |seed, sample| {
             let mut cfg = tree_config.clone();
@@ -552,34 +421,23 @@ impl RandomForestClassifier {
                 }
                 None => {
                     let mut t = DecisionTreeClassifier::new(cfg);
-                    t.fit_on_sample_with(x, y, sample, trainer, presort.as_ref())?;
+                    t.fit_on_sample_with(x, y, sample, Some(&presort))?;
                     Ok(t)
                 }
             }
         })?;
 
-        // OOB vote accumulation. The presorted path walks the flat
-        // tree unchecked (row widths come straight from `x`); the
-        // reference path keeps the seed's per-row checked calls.
+        // OOB vote accumulation, walking each flat tree unchecked (row
+        // widths come straight from `x`).
         let mut prob_sum = vec![0.0f64; x.n_rows()];
         let mut votes = vec![0u32; x.n_rows()];
         let mut trees = Vec::with_capacity(fitted.len());
         let mut per_tree_imp = Vec::with_capacity(fitted.len());
         for (t, oob) in fitted {
-            match trainer {
-                Trainer::Presorted | Trainer::Binned => {
-                    let flat = t.flat().ok_or(LearnError::NotFitted)?;
-                    for &i in &oob {
-                        prob_sum[i] += flat.traverse(x.row(i));
-                        votes[i] += 1;
-                    }
-                }
-                Trainer::Reference => {
-                    for &i in &oob {
-                        prob_sum[i] += t.predict_row(x.row(i))?;
-                        votes[i] += 1;
-                    }
-                }
+            let flat = t.flat().ok_or(LearnError::NotFitted)?;
+            for &i in &oob {
+                prob_sum[i] += flat.traverse(x.row(i));
+                votes[i] += 1;
             }
             per_tree_imp.push(t.feature_importances()?);
             trees.push(t);
@@ -609,7 +467,7 @@ impl RandomForestClassifier {
 
 impl Classifier for RandomForestClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
-        self.fit_impl(x, y, self.config.trainer)
+        self.fit_impl(x, y)
     }
 }
 
@@ -717,47 +575,6 @@ impl RandomForestRegressor {
         self.trees.len()
     }
 
-    /// Fit with the seed per-node gather-and-sort trainer — the
-    /// bit-identity baseline for equivalence tests and old-vs-new
-    /// benchmarks.
-    ///
-    /// # Errors
-    /// Same contract as [`Regressor::fit`].
-    #[doc(hidden)]
-    pub fn fit_reference(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
-        self.fit_impl(x, y, Trainer::Reference)
-    }
-
-    /// Re-express the fitted forest in the seed's enum-arena layout —
-    /// the baseline side of the old-vs-new predict benchmark.
-    #[doc(hidden)]
-    pub fn seed_layout(&self) -> SeedLayoutForest {
-        SeedLayoutForest {
-            trees: self
-                .trees
-                .iter()
-                .filter_map(|t| t.flat().map(FlatTree::to_seed_layout))
-                .collect(),
-            n_threads: self.config.n_threads,
-        }
-    }
-
-    /// The seed row-major batched prediction (legacy node layout,
-    /// per-row tree loop with per-row shape checks). Converts the
-    /// layout on every call — benchmarks should convert once via
-    /// [`Self::seed_layout`] instead.
-    ///
-    /// # Errors
-    /// Same contract as [`Predictor::predict_batch`].
-    #[doc(hidden)]
-    pub fn predict_batch_rowmajor(
-        &self,
-        x: MatrixView<'_>,
-        out: &mut [f64],
-    ) -> Result<(), LearnError> {
-        self.seed_layout().predict_batch(x, out)
-    }
-
     /// The fitted trees' flat layouts, in tree order.
     fn flats(&self) -> Vec<&FlatTree> {
         self.trees
@@ -766,7 +583,7 @@ impl RandomForestRegressor {
             .collect()
     }
 
-    fn fit_impl(&mut self, x: &Matrix, y: &[f64], trainer: Trainer) -> Result<(), LearnError> {
+    fn fit_impl(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
         if y.len() != x.n_rows() {
             return Err(LearnError::Shape(format!(
                 "{} targets for {} rows",
@@ -783,17 +600,10 @@ impl RandomForestRegressor {
         }
         // One full-dataset presort shared by every tree worker; the
         // binned tier quantizes it once more into one shared bin matrix.
-        let presort = match trainer {
-            Trainer::Reference => None,
-            Trainer::Presorted | Trainer::Binned => Some(FullPresort::new(x, y)),
-        };
-        let binned = match trainer {
-            Trainer::Binned => Some(BinnedDataset::from_presort(
-                x,
-                presort.as_ref().expect("binned tier builds on the presort"),
-                self.config.n_bins,
-            )),
-            _ => None,
+        let presort = FullPresort::new(x, y);
+        let binned = match self.config.trainer {
+            Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
+            Trainer::Presorted => None,
         };
         let fitted = fit_trees(x.n_rows(), &self.config, |seed, sample| {
             let mut cfg = tree_config.clone();
@@ -805,7 +615,7 @@ impl RandomForestRegressor {
                 }
                 None => {
                     let mut t = DecisionTreeRegressor::new(cfg);
-                    t.fit_on_sample_with(x, y, sample, trainer, presort.as_ref())?;
+                    t.fit_on_sample_with(x, y, sample, Some(&presort))?;
                     Ok(t)
                 }
             }
@@ -816,20 +626,10 @@ impl RandomForestRegressor {
         let mut trees = Vec::with_capacity(fitted.len());
         let mut per_tree_imp = Vec::with_capacity(fitted.len());
         for (t, oob) in fitted {
-            match trainer {
-                Trainer::Presorted | Trainer::Binned => {
-                    let flat = t.flat().ok_or(LearnError::NotFitted)?;
-                    for &i in &oob {
-                        pred_sum[i] += flat.traverse(x.row(i));
-                        votes[i] += 1;
-                    }
-                }
-                Trainer::Reference => {
-                    for &i in &oob {
-                        pred_sum[i] += t.predict_row(x.row(i))?;
-                        votes[i] += 1;
-                    }
-                }
+            let flat = t.flat().ok_or(LearnError::NotFitted)?;
+            for &i in &oob {
+                pred_sum[i] += flat.traverse(x.row(i));
+                votes[i] += 1;
             }
             per_tree_imp.push(t.feature_importances()?);
             trees.push(t);
@@ -864,7 +664,7 @@ impl RandomForestRegressor {
 
 impl Regressor for RandomForestRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
-        self.fit_impl(x, y, self.config.trainer)
+        self.fit_impl(x, y)
     }
 }
 
@@ -1050,46 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn presorted_forest_matches_reference_forest_bit_for_bit() {
-        let (x, y) = class_data(180, 14);
-        let mut new = RandomForestClassifier::with_trees(12, 15);
-        let mut old = RandomForestClassifier::with_trees(12, 15);
-        new.fit(&x, &y).unwrap();
-        old.fit_reference(&x, &y).unwrap();
-        assert_eq!(new.oob_accuracy().unwrap(), old.oob_accuracy().unwrap());
-        assert_eq!(
-            new.feature_importances().unwrap(),
-            old.feature_importances().unwrap()
-        );
-        for i in 0..x.n_rows() {
-            assert_eq!(
-                new.predict_row(x.row(i)).unwrap().to_bits(),
-                old.predict_row(x.row(i)).unwrap().to_bits()
-            );
-        }
-
-        let (rx, ry) = reg_data(150, 16);
-        let mut rn = RandomForestRegressor::with_trees(9, 17);
-        let mut ro = RandomForestRegressor::with_trees(9, 17);
-        rn.fit(&rx, &ry).unwrap();
-        ro.fit_reference(&rx, &ry).unwrap();
-        assert_eq!(
-            rn.oob_r2().unwrap().to_bits(),
-            ro.oob_r2().unwrap().to_bits()
-        );
-        assert_eq!(
-            rn.feature_importances().unwrap(),
-            ro.feature_importances().unwrap()
-        );
-        for i in 0..rx.n_rows() {
-            assert_eq!(
-                rn.predict_row(rx.row(i)).unwrap().to_bits(),
-                ro.predict_row(rx.row(i)).unwrap().to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn nan_features_error_cleanly_in_forest_fit() {
         let (x, y) = class_data(40, 18);
         let mut rows: Vec<Vec<f64>> = (0..x.n_rows()).map(|i| x.row(i).to_vec()).collect();
@@ -1155,12 +915,6 @@ mod tests {
             assert!(p.to_bits() == f.predict_row(dense.row(i)).unwrap().to_bits());
         }
 
-        // Tree-major == the seed row-major path, bit for bit.
-        let mut rowmajor = vec![0.0; x.n_rows()];
-        f.predict_batch_rowmajor((&overlay).into(), &mut rowmajor)
-            .unwrap();
-        assert_eq!(out, rowmajor);
-
         // Parallelism never changes results: 1, 3, and 8 threads agree.
         let mut reference = vec![0.0; x.n_rows()];
         f.config.n_threads = 1;
@@ -1186,9 +940,6 @@ mod tests {
         for (i, &p) in a.iter().enumerate() {
             assert!(p.to_bits() == r.predict_row(rx.row(i)).unwrap().to_bits());
         }
-        let mut rm = vec![0.0; rx.n_rows()];
-        r.predict_batch_rowmajor((&rx).into(), &mut rm).unwrap();
-        assert_eq!(a, rm);
 
         // Unfitted forests fail loudly; empty batches are fine.
         let un = RandomForestRegressor::default();

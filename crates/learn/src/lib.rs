@@ -23,13 +23,13 @@
 //!   tree, no per-node sorts or allocations); fitted trees are stored
 //!   flattened (struct-of-arrays, u32 indices, leaf sentinel) and
 //!   batch prediction is tree-major blocked for cache locality — both
-//!   bit-identical to the retained seed reference paths (see
-//!   `docs/FOREST.md`). Forest training is parallelized with std
-//!   scoped threads.
+//!   bit-identical to the seed CART, which the test suite keeps as an
+//!   oracle (see `docs/FOREST.md`). Forest training is parallelized
+//!   with std scoped threads.
 //! * [`binned`] — the histogram-binned training tier
 //!   ([`tree::Trainer::Binned`]): per-forest ≤256-bucket quantile
-//!   quantization, O(bins) split scans with child-histogram
-//!   subtraction, and gradient-boosted ensembles
+//!   quantization, O(bins) split scans over per-node histograms, and
+//!   gradient-boosted ensembles
 //!   ([`binned::GbdtRegressor`] / [`binned::GbdtClassifier`]) on the
 //!   same machinery. Deterministic, but approximate — its contract is
 //!   accuracy-within-ε, not bit-identity.
@@ -39,8 +39,6 @@
 //! * [`metrics`] — accuracy, F1, ROC-AUC, log-loss, R², RMSE, ...
 //! * [`shapley`] — Monte-Carlo permutation Shapley values (one of the
 //!   paper's three verification measures).
-//! * [`permutation`] — permutation importance.
-//! * [`preprocess`] — standard / min-max scalers.
 //! * [`split`] — train/test split and k-fold cross-validation.
 
 pub mod binned;
@@ -52,9 +50,6 @@ pub mod logistic;
 pub mod metrics;
 pub mod model;
 pub mod overlay;
-pub mod pdp;
-pub mod permutation;
-pub mod preprocess;
 pub mod shapley;
 pub mod split;
 pub mod tree;

@@ -21,17 +21,16 @@
 //! and leaf values (the left child is always the next node, pre-order).
 //! Leaves point at themselves, so prediction walks pick children with a
 //! conditional move instead of a branch.
-//! Both changes are **bit-identical** to the seed implementation, which
-//! is retained as the `Reference` trainer and [`SeedLayoutTree`] for
-//! equivalence tests and old-vs-new benchmarks — see `docs/FOREST.md`
-//! for the determinism and tie-order contract.
+//! Both changes are **bit-identical** to the seed implementation
+//! (per-node gather-and-sort, enum-arena walk), which survives only as
+//! the standalone test oracle in `tests/seed_cart` — see
+//! `docs/FOREST.md` for the determinism and tie-order contract.
 
 use crate::linalg::Matrix;
 use crate::model::{check_binary_labels, Classifier, LearnError, Predictor, Regressor};
 use core::hint::select_unpredictable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use whatif_stats::sampling::sample_without_replacement;
 
 /// Hyperparameters shared by trees and forests.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,30 +59,27 @@ impl Default for TreeConfig {
     }
 }
 
-/// Which split-finding engine grows the tree.
+/// Which split-finding engine grows a forest's trees.
 ///
-/// `Presorted` and `Reference` produce bit-identical trees; `Reference`
-/// is the seed gather-and-sort implementation, kept as the baseline the
-/// equivalence suites and old-vs-new benchmarks pin the presorted
-/// trainer against. `Binned` is the histogram tier: quantized features,
-/// O(bins) split scans, explicitly **not** bit-identical to the exact
-/// trainers — it carries its own accuracy contract instead (see
-/// `docs/FOREST.md` and [`crate::binned`]).
+/// `Presorted` is the exact trainer: bit-identical to the seed
+/// gather-and-sort CART, which `tests/forest_equivalence.rs` pins it
+/// against. `Binned` is the histogram tier: quantized features, O(bins)
+/// split scans, explicitly **not** bit-identical to the exact trainer —
+/// it carries its own accuracy contract instead (see `docs/FOREST.md`
+/// and [`crate::binned`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trainer {
     /// Forest-level presort, stable partition down the tree,
     /// counting-sort replay of the seed's pair order. No per-node
-    /// allocations. Bit-identical to `Reference`.
+    /// allocations.
     Presorted,
-    /// Per-node gather + stable sort (the seed implementation).
-    Reference,
     /// Histogram-binned split finding: each feature quantized to ≤256
     /// quantile buckets once per forest; every node samples its feature
     /// subset first and builds histograms for those features only, in
     /// one streaming pass over its rows (no parent − sibling
     /// subtraction, which would have to keep histograms for every
     /// feature). Approximate (own accuracy contract), not bit-identical
-    /// to the exact tiers.
+    /// to the exact trainer.
     Binned,
 }
 
@@ -484,107 +480,6 @@ impl FlatTree {
     pub(crate) fn n_nodes(&self) -> usize {
         self.meta.len()
     }
-
-    /// Expand back into the seed's enum arena (same topology, same
-    /// node order) for the old-layout baseline.
-    pub(crate) fn to_seed_layout(&self) -> SeedLayoutTree {
-        let nodes = self
-            .meta
-            .iter()
-            .zip(&self.thresh)
-            .enumerate()
-            .map(|(i, (&m, &t))| {
-                if m as u32 == LEAF {
-                    SeedNode::Leaf { value: t }
-                } else {
-                    SeedNode::Split {
-                        feature: (m as u32) as usize,
-                        threshold: t,
-                        left: i + 1,
-                        right: (m >> 32) as usize,
-                    }
-                }
-            })
-            .collect();
-        SeedLayoutTree {
-            nodes,
-            n_features: self.n_features,
-        }
-    }
-}
-
-/// The seed implementation's node representation: a 40-byte enum arena
-/// (discriminant + four words). Retained solely so old-vs-new
-/// benchmarks and equivalence tests measure the *actual* seed layout,
-/// not a flattened stand-in.
-#[derive(Debug, Clone)]
-enum SeedNode {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-/// A fitted tree in the seed's enum-arena layout with the seed's
-/// per-row shape check, expanded from a fitted tree's flat layout.
-#[derive(Debug, Clone)]
-pub struct SeedLayoutTree {
-    nodes: Vec<SeedNode>,
-    n_features: usize,
-}
-
-impl SeedLayoutTree {
-    /// The seed's `predict_row`: shape check per call, enum-match walk.
-    ///
-    /// # Errors
-    /// [`LearnError::Shape`] on row-width mismatch.
-    pub fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        if x.len() != self.n_features {
-            return Err(LearnError::Shape(format!(
-                "row has {} features, tree expects {}",
-                x.len(),
-                self.n_features
-            )));
-        }
-        let mut i = 0usize;
-        loop {
-            match &self.nodes[i] {
-                SeedNode::Leaf { value } => return Ok(*value),
-                SeedNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if x[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// Number of features the tree expects.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-}
-
-impl Predictor for SeedLayoutTree {
-    fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        SeedLayoutTree::predict_row(self, x)
-    }
-
-    fn n_features(&self) -> usize {
-        self.n_features
-    }
 }
 
 /// Reject NaN feature cells up front: the split search orders values
@@ -755,50 +650,15 @@ impl Criterion for Mse {
     }
 }
 
-/// The seed's boundary scan, verbatim, over its sorted `(value, y)`
-/// pair buffer: fold one sample into the left/right aggregates, skip
-/// equal-value boundaries, respect `min_samples_leaf`, keep the
-/// strictly-best gain. Zero-gain splits are accepted: greedy CART needs
+/// The seed's boundary scan over a presorted entry segment: fold one
+/// sample into the left/right aggregates, skip equal-value boundaries,
+/// respect `min_samples_leaf`, keep the strictly-best gain. The target
+/// sequence comes from `y_at` (the seed's pair order), boundaries are
+/// read from the packed value classes, and threshold endpoints are
+/// loaded from the feature's value column only when a boundary improves
+/// the running best. Zero-gain splits are accepted: greedy CART needs
 /// them to get past XOR-style interactions (both children stay impure
 /// but strictly smaller, so recursion terminates).
-fn scan_pairs<C: Criterion>(
-    feature: usize,
-    pairs: &[(f64, f64)],
-    parent_agg: &C::Agg,
-    parent_impurity: f64,
-    n: f64,
-    min_samples_leaf: usize,
-    best: &mut Option<(usize, f64, f64)>,
-) {
-    let mut left = C::empty();
-    let mut right = parent_agg.clone();
-    for w in 0..pairs.len() - 1 {
-        C::add(&mut left, pairs[w].1);
-        C::remove(&mut right, pairs[w].1);
-        // Can only split between distinct feature values.
-        if pairs[w].0 == pairs[w + 1].0 {
-            continue;
-        }
-        let nl = C::count(&left);
-        let nr = C::count(&right);
-        if nl < min_samples_leaf || nr < min_samples_leaf {
-            continue;
-        }
-        let weighted = (nl as f64 * C::impurity(&left) + nr as f64 * C::impurity(&right)) / n;
-        let gain = parent_impurity - weighted;
-        if gain >= 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-            let threshold = (pairs[w].0 + pairs[w + 1].0) / 2.0;
-            *best = Some((feature, threshold, gain));
-        }
-    }
-}
-
-/// The boundary scan over a presorted entry segment: identical
-/// aggregate/gain/threshold arithmetic to [`scan_pairs`], with the
-/// target sequence supplied by `y_at` (the seed pair order), boundaries
-/// read from the packed value classes, and threshold endpoints loaded
-/// lazily from the feature's value column only when a boundary improves
-/// the running best.
 #[allow(clippy::too_many_arguments)]
 fn scan_entries<C: Criterion>(
     feature: usize,
@@ -847,26 +707,18 @@ fn scan_entries<C: Criterion>(
 /// merely equivalent.
 struct Grow<'a, C: Criterion> {
     config: &'a TreeConfig,
-    trainer: Trainer,
     /// Sample size (slots are `0..n`).
     n: usize,
     /// Feature count.
     p: usize,
-    /// The original matrix + slot→row map: the reference trainer reads
-    /// values exactly the way the seed did (strided row-major `get`),
-    /// so the old-vs-new benchmark measures the seed's real memory
-    /// behavior, not a gathered stand-in.
-    x: &'a Matrix,
-    rows: &'a [usize],
-    /// Presorted-only feature-major value gather (`xv[f * n + slot]`).
+    /// Feature-major value gather (`xv[f * n + slot]`).
     xv: Vec<f64>,
     ys: Vec<f64>,
     idx: Vec<u32>,
     rng: StdRng,
     n_total: f64,
-    // Presorted state: per-feature packed [`Entry`] lists in ascending
-    // total order (bit-equal values contiguous), partitioned stably
-    // down the tree.
+    // Per-feature packed [`Entry`] lists in ascending total order
+    // (bit-equal values contiguous), partitioned stably down the tree.
     entries: Vec<Entry>,
     scratch: Vec<Entry>,
     /// Per-split membership by slot (`x <= threshold`), shared by the
@@ -878,9 +730,9 @@ struct Grow<'a, C: Criterion> {
     ord_y: Vec<f64>,
     /// Per feature: -0.0/+0.0 coexist (MSE bucket-replay fallback).
     mixed_zero: Vec<bool>,
-    /// Reused feature-subsample buffer (presorted path): refilled with
-    /// `0..p` per node and partially Fisher–Yates-shuffled with the
-    /// exact same RNG draws as `sample_without_replacement`.
+    /// Reused feature-subsample buffer: refilled with `0..p` per node
+    /// and partially Fisher–Yates-shuffled with the exact same RNG draws
+    /// as `whatif_stats::sampling::sample_without_replacement`.
     feat_buf: Vec<usize>,
     // Output arenas (the FlatTree under construction).
     meta: Vec<u64>,
@@ -892,105 +744,78 @@ struct Grow<'a, C: Criterion> {
 
 impl<'a, C: Criterion> Grow<'a, C> {
     fn build(
-        x: &'a Matrix,
+        x: &Matrix,
         y: &[f64],
-        sample: &'a [usize],
+        sample: &[usize],
         config: &'a TreeConfig,
-        trainer: Trainer,
         presort: Option<&FullPresort>,
     ) -> FlatTree {
         let n = sample.len();
         let p = x.n_cols();
-        debug_assert!(
-            trainer != Trainer::Binned,
-            "binned trees grow in binned.rs, not Grow"
-        );
         // Entries pack the slot into 32 bits and the value class into 31.
         assert!(n < (1usize << 31), "sample too large for packed slots");
         // Gather the sample once, feature-major: every later pass is a
         // sequential or cache-resident-column access instead of strided
-        // reads into the full row-major matrix. (The reference trainer
-        // keeps the seed's direct matrix reads instead.)
-        let mut xv = match trainer {
-            Trainer::Presorted => vec![0.0; p * n],
-            _ => Vec::new(),
-        };
+        // reads into the full row-major matrix.
+        let mut xv = vec![0.0; p * n];
         let mut ys = vec![0.0; n];
         for (slot, &row) in sample.iter().enumerate() {
-            if trainer == Trainer::Presorted {
-                for (f, &v) in x.row(row).iter().enumerate() {
-                    xv[f * n + slot] = v;
-                }
+            for (f, &v) in x.row(row).iter().enumerate() {
+                xv[f * n + slot] = v;
             }
             ys[slot] = y[row];
         }
         let own_presort;
-        let full = match (trainer, presort) {
-            (Trainer::Presorted, Some(f)) => Some(f),
-            (Trainer::Presorted, None) => {
+        let full = match presort {
+            Some(f) => f,
+            None => {
                 own_presort = FullPresort::new(x, y);
-                Some(&own_presort)
+                &own_presort
             }
-            _ => None,
         };
-        let mixed_zero = full.map_or_else(Vec::new, |f| f.mixed_zero.clone());
-        let entries = match full {
-            // Derive the sample's per-feature sorted entry columns from
-            // the shared full-dataset ranks with one branch-free
-            // counting scatter per feature. Entry tie order within
-            // equal values differs from the reference's stable sort
-            // only *inside* runs, where it is provably irrelevant
-            // (count aggregates; the MSE replay re-orders by `idx`),
-            // so the result is bit-identical.
-            Some(full) => {
-                let n_rows = full.n_rows;
-                let mut entries = vec![0u64; p * n];
-                let mut count = vec![0u32; n_rows + 1];
-                for f in 0..p {
-                    let meta = &full.packed[f * n_rows..(f + 1) * n_rows];
-                    count[..n_rows + 1].fill(0);
-                    for &row in sample {
-                        count[(meta[row] >> 32) as usize + 1] += 1;
-                    }
-                    for r in 0..n_rows {
-                        count[r + 1] += count[r];
-                    }
-                    let base = f * n;
-                    for (slot, &row) in sample.iter().enumerate() {
-                        let m = meta[row];
-                        let cursor = &mut count[(m >> 32) as usize];
-                        entries[base + *cursor as usize] =
-                            (u64::from(slot as u32) << 32) | (m & 0xFFFF_FFFF);
-                        *cursor += 1;
-                    }
-                }
-                entries
+        // Derive the sample's per-feature sorted entry columns from the
+        // shared full-dataset ranks with one branch-free counting scatter
+        // per feature. Entry tie order within equal values differs from
+        // the seed's stable sort only *inside* runs, where it is provably
+        // irrelevant (count aggregates; the MSE replay re-orders by
+        // `idx`), so the result is bit-identical.
+        let n_rows = full.n_rows;
+        let mut entries = vec![0u64; p * n];
+        let mut count = vec![0u32; n_rows + 1];
+        for f in 0..p {
+            let meta = &full.packed[f * n_rows..(f + 1) * n_rows];
+            count[..n_rows + 1].fill(0);
+            for &row in sample {
+                count[(meta[row] >> 32) as usize + 1] += 1;
             }
-            None => Vec::new(),
-        };
-        let (scratch, goes_left, run_of, bucket_pos) = match trainer {
-            Trainer::Presorted => (vec![0u64; n], vec![0u8; n], vec![0u32; n], vec![0u32; n]),
-            _ => (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
-        };
+            for r in 0..n_rows {
+                count[r + 1] += count[r];
+            }
+            let base = f * n;
+            for (slot, &row) in sample.iter().enumerate() {
+                let m = meta[row];
+                let cursor = &mut count[(m >> 32) as usize];
+                entries[base + *cursor as usize] =
+                    (u64::from(slot as u32) << 32) | (m & 0xFFFF_FFFF);
+                *cursor += 1;
+            }
+        }
         let mut b = Grow::<C> {
             config,
-            trainer,
             n,
             p,
-            x,
-            rows: sample,
             xv,
             ys,
             idx: (0..n as u32).collect(),
             rng: StdRng::seed_from_u64(config.seed),
             n_total: n as f64,
             entries,
-            scratch,
-            goes_left,
-            run_of,
-            bucket_pos,
+            scratch: vec![0u64; n],
+            goes_left: vec![0u8; n],
+            run_of: vec![0u32; n],
+            bucket_pos: vec![0u32; n],
             ord_y: vec![0.0; n],
-            mixed_zero,
+            mixed_zero: full.mixed_zero.clone(),
             feat_buf: (0..p).collect(),
             meta: Vec::with_capacity(2 * n),
             thresh: Vec::with_capacity(2 * n),
@@ -1050,80 +875,55 @@ impl<'a, C: Criterion> Grow<'a, C> {
             if let Some((feature, threshold, gain)) =
                 self.best_split(start, end, &agg, node_impurity)
             {
-                // While the entry columns are maintained, resolve the
-                // split predicate (x <= threshold) once per slot; the
-                // `idx` partition and every feature column's partition
-                // then share it. The slots satisfying the predicate are
-                // exactly a prefix of the split feature's sorted
-                // segment, so a log-n probe finds the boundary and the
-                // fill never touches the value column per element.
+                // Resolve the split predicate (x <= threshold) once per
+                // slot; the `idx` partition and every feature column's
+                // partition then share it. The slots satisfying the
+                // predicate are exactly a prefix of the split feature's
+                // sorted segment, so a log-n probe finds the boundary and
+                // the fill never touches the value column per element.
                 let col = feature * self.n;
-                let maintained = self.trainer == Trainer::Presorted;
-                if maintained {
-                    let seg = &self.entries[col + start..col + end];
-                    let nl = seg.partition_point(|&e| self.xv[col + entry_slot(e)] <= threshold);
-                    for &e in &seg[..nl] {
-                        self.goes_left[entry_slot(e)] = 1;
-                    }
-                    for &e in &seg[nl..] {
-                        self.goes_left[entry_slot(e)] = 0;
-                    }
+                let seg = &self.entries[col + start..col + end];
+                let nl = seg.partition_point(|&e| self.xv[col + entry_slot(e)] <= threshold);
+                for &e in &seg[..nl] {
+                    self.goes_left[entry_slot(e)] = 1;
+                }
+                for &e in &seg[nl..] {
+                    self.goes_left[entry_slot(e)] = 0;
                 }
                 // Partition `idx` in place exactly like the seed: left
                 // gets x <= threshold (the swap order fixes the seed's
-                // child accumulation order). The presorted side runs the
-                // identical element dance branchlessly (conditional
-                // moves instead of a ~50/50 branch); the reference side
-                // keeps the seed's loop and matrix reads.
-                let split_at = if maintained {
-                    let mut lo = start;
-                    let mut hi = end;
-                    while lo < hi {
-                        let a = self.idx[lo];
-                        let b = self.idx[hi - 1];
-                        let left = self.goes_left[a as usize] != 0;
-                        self.idx[lo] = if left { a } else { b };
-                        self.idx[hi - 1] = if left { b } else { a };
-                        lo += usize::from(left);
-                        hi -= usize::from(!left);
-                    }
-                    lo
-                } else {
-                    let mut lo = start;
-                    let mut hi = end;
-                    while lo < hi {
-                        let s = self.idx[lo] as usize;
-                        if self.x.get(self.rows[s], feature) <= threshold {
-                            lo += 1;
-                        } else {
-                            hi -= 1;
-                            self.idx.swap(lo, hi);
-                        }
-                    }
-                    lo
-                };
+                // child accumulation order), run branchlessly with
+                // conditional moves instead of a ~50/50 branch.
+                let mut lo = start;
+                let mut hi = end;
+                while lo < hi {
+                    let a = self.idx[lo];
+                    let b = self.idx[hi - 1];
+                    let left = self.goes_left[a as usize] != 0;
+                    self.idx[lo] = if left { a } else { b };
+                    self.idx[hi - 1] = if left { b } else { a };
+                    lo += usize::from(left);
+                    hi -= usize::from(!left);
+                }
+                let split_at = lo;
                 if split_at - start >= self.config.min_samples_leaf
                     && end - split_at >= self.config.min_samples_leaf
                 {
                     let left_agg = self.segment_agg(start, split_at);
-                    let right_agg = match (self.trainer, C::subtract(&agg, &left_agg)) {
-                        // Integer aggregates subtract exactly; the
-                        // reference keeps the seed's per-child fold.
-                        (Trainer::Presorted, Some(r)) => r,
-                        _ => self.segment_agg(split_at, end),
-                    };
-                    if maintained {
-                        // Children that are certainly leaves never scan
-                        // their columns: skip partitioning entirely when
-                        // both are leaves, and compact only the living
-                        // side when one is — the bulk of the fringe.
-                        let left_leaf = self.becomes_leaf(&left_agg, split_at - start, depth + 1);
-                        let right_leaf = self.becomes_leaf(&right_agg, end - split_at, depth + 1);
-                        if !(left_leaf && right_leaf) {
-                            self.partition_columns(
-                                start, split_at, end, feature, left_leaf, right_leaf,
-                            );
-                        }
+                    // Integer aggregates subtract exactly; f64 sums
+                    // refold the right child in the seed's order.
+                    let right_agg = C::subtract(&agg, &left_agg)
+                        .unwrap_or_else(|| self.segment_agg(split_at, end));
+                    // Children that are certainly leaves never scan
+                    // their columns: skip partitioning entirely when
+                    // both are leaves, and compact only the living
+                    // side when one is — the bulk of the fringe.
+                    let left_leaf = self.becomes_leaf(&left_agg, split_at - start, depth + 1);
+                    let right_leaf = self.becomes_leaf(&right_agg, end - split_at, depth + 1);
+                    if !(left_leaf && right_leaf) {
+                        self.partition_columns(
+                            start, split_at, end, feature, left_leaf, right_leaf,
+                        );
                     }
                     self.importances[feature] += gain * n as f64 / self.n_total;
                     // Reserve the parent slot before recursing so child
@@ -1154,215 +954,161 @@ impl<'a, C: Criterion> Grow<'a, C> {
     ) -> Option<(usize, f64, f64)> {
         let p = self.p;
         let k = self.config.max_features.unwrap_or(p).clamp(1, p);
-        // Reference keeps the seed's allocating sampler; the presorted
-        // path replays the identical partial Fisher–Yates (same RNG
-        // draw sequence) over a reused buffer — no per-node allocation.
-        let ref_features: Vec<usize>;
-        let features: &[usize] = match self.trainer {
-            Trainer::Reference | Trainer::Binned => {
-                ref_features = if k == p {
-                    (0..p).collect()
-                } else {
-                    sample_without_replacement(&mut self.rng, p, k)
-                };
-                &ref_features
+        // The seed's `sample_without_replacement` draws, replayed as a
+        // partial Fisher–Yates over a reused buffer: no per-node
+        // allocation, and no draws at all when every feature is used.
+        for (i, f) in self.feat_buf.iter_mut().enumerate() {
+            *f = i;
+        }
+        if k < p {
+            for i in 0..k {
+                let j = self.rng.gen_range(i..p);
+                self.feat_buf.swap(i, j);
             }
-            Trainer::Presorted => {
-                for (i, f) in self.feat_buf.iter_mut().enumerate() {
-                    *f = i;
-                }
-                if k < p {
-                    for i in 0..k {
-                        let j = self.rng.gen_range(i..p);
-                        self.feat_buf.swap(i, j);
-                    }
-                }
-                &self.feat_buf[..k]
-            }
-        };
+        }
         let n = (end - start) as f64;
         let len = end - start;
         let mut best: Option<(usize, f64, f64)> = None;
-        // The seed allocated its pair buffer per node; keep that exact
-        // behavior on the reference side.
-        let mut pairs: Vec<(f64, f64)> = match self.trainer {
-            Trainer::Reference => Vec::with_capacity(len),
-            _ => Vec::new(),
-        };
-        for &feature in features {
+        for &feature in &self.feat_buf[..k] {
             let col = feature * self.n;
-            match self.trainer {
-                Trainer::Reference | Trainer::Binned => {
-                    pairs.clear();
-                    for i in start..end {
-                        let s = self.idx[i] as usize;
-                        pairs.push((self.x.get(self.rows[s], feature), self.ys[s]));
+            let seg = &self.entries[col + start..col + end];
+            let vcol = &self.xv[col..col + self.n];
+            if entry_class(seg[0]) == entry_class(seg[len - 1]) {
+                continue; // constant feature in this node
+            }
+            if C::ORDER_SENSITIVE {
+                // Replay the seed's exact pair order with a counting
+                // sort: ascending bit-distinct value buckets, each bucket
+                // filled by walking `idx` in node order (= the stable
+                // sort's tie order). Bit granularity, not `==`, keeps
+                // -0.0/+0.0 ties in the same order the seed's total-order
+                // sort puts them; when a feature has no mixed-sign zeros
+                // (the only bit-distinct `==`-equal case), class changes
+                // are bit changes and the value column is never touched.
+                let mut runs = 0usize;
+                if self.mixed_zero[feature] {
+                    let mut prev = 0u64;
+                    for (i, &e) in seg.iter().enumerate() {
+                        let s = entry_slot(e);
+                        let bits = vcol[s].to_bits();
+                        if i == 0 || bits != prev {
+                            self.bucket_pos[runs] = i as u32;
+                            runs += 1;
+                            prev = bits;
+                        }
+                        self.run_of[s] = (runs - 1) as u32;
                     }
-                    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    if pairs[0].0 == pairs[len - 1].0 {
-                        continue; // constant feature in this node
+                } else {
+                    let mut prev = u32::MAX;
+                    for (i, &e) in seg.iter().enumerate() {
+                        let class = entry_class(e);
+                        if i == 0 || class != prev {
+                            self.bucket_pos[runs] = i as u32;
+                            runs += 1;
+                            prev = class;
+                        }
+                        self.run_of[entry_slot(e)] = (runs - 1) as u32;
                     }
-                    scan_pairs::<C>(
-                        feature,
-                        &pairs,
-                        parent_agg,
-                        parent_impurity,
-                        n,
-                        self.config.min_samples_leaf,
-                        &mut best,
-                    );
                 }
-                Trainer::Presorted => {
-                    let seg = &self.entries[col + start..col + end];
-                    let vcol = &self.xv[col..col + self.n];
-                    if entry_class(seg[0]) == entry_class(seg[len - 1]) {
-                        continue; // constant feature in this node
-                    }
-                    if C::ORDER_SENSITIVE {
-                        // Replay the seed's exact pair order with a
-                        // counting sort: ascending bit-distinct value
-                        // buckets, each bucket filled by walking `idx`
-                        // in node order (= the stable sort's tie
-                        // order). Bit granularity, not `==`, keeps
-                        // -0.0/+0.0 ties in the same order the
-                        // reference's total-order sort puts them; when
-                        // a feature has no mixed-sign zeros (the only
-                        // bit-distinct `==`-equal case), class changes
-                        // are bit changes and the value column is never
-                        // touched.
-                        let mut runs = 0usize;
-                        if self.mixed_zero[feature] {
-                            let mut prev = 0u64;
-                            for (i, &e) in seg.iter().enumerate() {
-                                let s = entry_slot(e);
-                                let bits = vcol[s].to_bits();
-                                if i == 0 || bits != prev {
-                                    self.bucket_pos[runs] = i as u32;
-                                    runs += 1;
-                                    prev = bits;
-                                }
-                                self.run_of[s] = (runs - 1) as u32;
-                            }
-                        } else {
-                            let mut prev = u32::MAX;
-                            for (i, &e) in seg.iter().enumerate() {
-                                let class = entry_class(e);
-                                if i == 0 || class != prev {
-                                    self.bucket_pos[runs] = i as u32;
-                                    runs += 1;
-                                    prev = class;
-                                }
-                                self.run_of[entry_slot(e)] = (runs - 1) as u32;
-                            }
-                        }
-                        for i in start..end {
-                            let s = self.idx[i] as usize;
-                            let cursor = &mut self.bucket_pos[self.run_of[s] as usize];
-                            self.ord_y[*cursor as usize] = self.ys[s];
-                            *cursor += 1;
-                        }
-                        let ord_y = &self.ord_y;
-                        scan_entries::<C>(
-                            feature,
-                            seg,
-                            vcol,
-                            |w| ord_y[w],
-                            parent_agg,
-                            parent_impurity,
-                            n,
-                            self.config.min_samples_leaf,
-                            &mut best,
-                        );
-                    } else if len < 256 {
-                        // Order-free aggregates (integer counts), small
-                        // segment: one fused pass accumulating the
-                        // current equal-value run (integer sums are
-                        // associative, so run-at-once folds are
-                        // bit-identical to the seed's element loop) and
-                        // evaluating at each class change.
-                        let mut left = C::empty();
-                        let mut right = parent_agg.clone();
-                        let mut run_n = 0usize;
-                        let mut run_pos = 0usize;
-                        let mut prev_class = entry_class(seg[0]);
-                        for w in 0..len {
-                            let e = seg[w];
-                            let c = entry_class(e);
-                            if c != prev_class {
-                                C::add_bulk(&mut left, run_n, run_pos);
-                                C::remove_bulk(&mut right, run_n, run_pos);
-                                run_n = 0;
-                                run_pos = 0;
-                                prev_class = c;
-                                let nl = C::count(&left);
-                                let nr = C::count(&right);
-                                if nl >= self.config.min_samples_leaf
-                                    && nr >= self.config.min_samples_leaf
-                                {
-                                    let weighted = (nl as f64 * C::impurity(&left)
-                                        + nr as f64 * C::impurity(&right))
-                                        / n;
-                                    let gain = parent_impurity - weighted;
-                                    if gain >= 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
-                                        let threshold = (vcol[entry_slot(seg[w - 1])]
-                                            + vcol[entry_slot(e)])
-                                            / 2.0;
-                                        best = Some((feature, threshold, gain));
-                                    }
-                                }
-                            }
-                            run_n += 1;
-                            run_pos += (e & 1) as usize;
-                        }
-                    } else {
-                        // Large segment: fold run by run — integer sums
-                        // are associative, so adding a whole equal-value
-                        // run at once is bit-identical to the seed's
-                        // element loop, and the per-run label sum is a
-                        // pure vectorizable reduction over the packed
-                        // label bits.
-                        let mut runs = 0usize;
-                        let mut prev = u32::MAX;
-                        for (i, &e) in seg.iter().enumerate() {
-                            let c = entry_class(e);
-                            if i == 0 || c != prev {
-                                self.bucket_pos[runs] = i as u32;
-                                runs += 1;
-                                prev = c;
-                            }
-                        }
-                        let mut left = C::empty();
-                        let mut right = parent_agg.clone();
-                        for r in 0..runs {
-                            let a = self.bucket_pos[r] as usize;
-                            let b = if r + 1 < runs {
-                                self.bucket_pos[r + 1] as usize
-                            } else {
-                                len
-                            };
-                            let pos: u64 = seg[a..b].iter().map(|&e| e & 1).sum();
-                            C::add_bulk(&mut left, b - a, pos as usize);
-                            C::remove_bulk(&mut right, b - a, pos as usize);
-                            if r + 1 == runs {
-                                break; // the seed never evaluates past the last value
-                            }
-                            let nl = C::count(&left);
-                            let nr = C::count(&right);
-                            if nl < self.config.min_samples_leaf
-                                || nr < self.config.min_samples_leaf
-                            {
-                                continue;
-                            }
+                for i in start..end {
+                    let s = self.idx[i] as usize;
+                    let cursor = &mut self.bucket_pos[self.run_of[s] as usize];
+                    self.ord_y[*cursor as usize] = self.ys[s];
+                    *cursor += 1;
+                }
+                let ord_y = &self.ord_y;
+                scan_entries::<C>(
+                    feature,
+                    seg,
+                    vcol,
+                    |w| ord_y[w],
+                    parent_agg,
+                    parent_impurity,
+                    n,
+                    self.config.min_samples_leaf,
+                    &mut best,
+                );
+            } else if len < 256 {
+                // Order-free aggregates (integer counts), small segment:
+                // one fused pass accumulating the current equal-value run
+                // (integer sums are associative, so run-at-once folds are
+                // bit-identical to the seed's element loop) and
+                // evaluating at each class change.
+                let mut left = C::empty();
+                let mut right = parent_agg.clone();
+                let mut run_n = 0usize;
+                let mut run_pos = 0usize;
+                let mut prev_class = entry_class(seg[0]);
+                for w in 0..len {
+                    let e = seg[w];
+                    let c = entry_class(e);
+                    if c != prev_class {
+                        C::add_bulk(&mut left, run_n, run_pos);
+                        C::remove_bulk(&mut right, run_n, run_pos);
+                        run_n = 0;
+                        run_pos = 0;
+                        prev_class = c;
+                        let nl = C::count(&left);
+                        let nr = C::count(&right);
+                        if nl >= self.config.min_samples_leaf && nr >= self.config.min_samples_leaf
+                        {
                             let weighted = (nl as f64 * C::impurity(&left)
                                 + nr as f64 * C::impurity(&right))
                                 / n;
                             let gain = parent_impurity - weighted;
                             if gain >= 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
                                 let threshold =
-                                    (vcol[entry_slot(seg[b - 1])] + vcol[entry_slot(seg[b])]) / 2.0;
+                                    (vcol[entry_slot(seg[w - 1])] + vcol[entry_slot(e)]) / 2.0;
                                 best = Some((feature, threshold, gain));
                             }
                         }
+                    }
+                    run_n += 1;
+                    run_pos += (e & 1) as usize;
+                }
+            } else {
+                // Large segment: fold run by run — integer sums are
+                // associative, so adding a whole equal-value run at once
+                // is bit-identical to the seed's element loop, and the
+                // per-run label sum is a pure vectorizable reduction over
+                // the packed label bits.
+                let mut runs = 0usize;
+                let mut prev = u32::MAX;
+                for (i, &e) in seg.iter().enumerate() {
+                    let c = entry_class(e);
+                    if i == 0 || c != prev {
+                        self.bucket_pos[runs] = i as u32;
+                        runs += 1;
+                        prev = c;
+                    }
+                }
+                let mut left = C::empty();
+                let mut right = parent_agg.clone();
+                for r in 0..runs {
+                    let a = self.bucket_pos[r] as usize;
+                    let b = if r + 1 < runs {
+                        self.bucket_pos[r + 1] as usize
+                    } else {
+                        len
+                    };
+                    let pos: u64 = seg[a..b].iter().map(|&e| e & 1).sum();
+                    C::add_bulk(&mut left, b - a, pos as usize);
+                    C::remove_bulk(&mut right, b - a, pos as usize);
+                    if r + 1 == runs {
+                        break; // the seed never evaluates past the last value
+                    }
+                    let nl = C::count(&left);
+                    let nr = C::count(&right);
+                    if nl < self.config.min_samples_leaf || nr < self.config.min_samples_leaf {
+                        continue;
+                    }
+                    let weighted =
+                        (nl as f64 * C::impurity(&left) + nr as f64 * C::impurity(&right)) / n;
+                    let gain = parent_impurity - weighted;
+                    if gain >= 0.0 && best.is_none_or(|(_, _, g)| gain > g) {
+                        let threshold =
+                            (vcol[entry_slot(seg[b - 1])] + vcol[entry_slot(seg[b])]) / 2.0;
+                        best = Some((feature, threshold, gain));
                     }
                 }
             }
@@ -1490,26 +1236,10 @@ impl DecisionTreeClassifier {
         sample: &[usize],
     ) -> Result<(), LearnError> {
         check_no_nan_features(x)?;
-        self.fit_on_sample_with(x, y, sample, Trainer::Presorted, None)
+        self.fit_on_sample_with(x, y, sample, None)
     }
 
-    /// Fit with the seed gather-and-sort trainer — the bit-identity
-    /// baseline for equivalence tests and old-vs-new benchmarks.
-    ///
-    /// # Errors
-    /// [`LearnError`] on shape/label problems or NaN feature cells.
-    #[doc(hidden)]
-    pub fn fit_on_sample_reference(
-        &mut self,
-        x: &Matrix,
-        y: &[u8],
-        sample: &[usize],
-    ) -> Result<(), LearnError> {
-        check_no_nan_features(x)?;
-        self.fit_on_sample_with(x, y, sample, Trainer::Reference, None)
-    }
-
-    /// Trainer-selectable fit; NaN screening is the caller's job (the
+    /// Exact presorted fit; NaN screening is the caller's job (the
     /// forest screens the matrix once instead of once per tree), and a
     /// forest-level [`FullPresort`] avoids per-tree full sorts.
     pub(crate) fn fit_on_sample_with(
@@ -1517,7 +1247,6 @@ impl DecisionTreeClassifier {
         x: &Matrix,
         y: &[u8],
         sample: &[usize],
-        trainer: Trainer,
         presort: Option<&FullPresort>,
     ) -> Result<(), LearnError> {
         check_binary_labels(x, y)?;
@@ -1530,12 +1259,7 @@ impl DecisionTreeClassifier {
             )));
         }
         let yf: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
-        self.fitted = Some(match trainer {
-            Trainer::Binned => {
-                crate::binned::grow_standalone::<Gini>(x, &yf, sample, &self.config, presort)
-            }
-            _ => Grow::<Gini>::build(x, &yf, sample, &self.config, trainer, presort),
-        });
+        self.fitted = Some(Grow::<Gini>::build(x, &yf, sample, &self.config, presort));
         Ok(())
     }
 
@@ -1627,26 +1351,10 @@ impl DecisionTreeRegressor {
         sample: &[usize],
     ) -> Result<(), LearnError> {
         check_no_nan_features(x)?;
-        self.fit_on_sample_with(x, y, sample, Trainer::Presorted, None)
+        self.fit_on_sample_with(x, y, sample, None)
     }
 
-    /// Fit with the seed gather-and-sort trainer — the bit-identity
-    /// baseline for equivalence tests and old-vs-new benchmarks.
-    ///
-    /// # Errors
-    /// [`LearnError`] on shape problems or NaN feature cells.
-    #[doc(hidden)]
-    pub fn fit_on_sample_reference(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        sample: &[usize],
-    ) -> Result<(), LearnError> {
-        check_no_nan_features(x)?;
-        self.fit_on_sample_with(x, y, sample, Trainer::Reference, None)
-    }
-
-    /// Trainer-selectable fit; NaN screening is the caller's job (the
+    /// Exact presorted fit; NaN screening is the caller's job (the
     /// forest screens the matrix once instead of once per tree), and a
     /// forest-level [`FullPresort`] avoids per-tree full sorts.
     pub(crate) fn fit_on_sample_with(
@@ -1654,7 +1362,6 @@ impl DecisionTreeRegressor {
         x: &Matrix,
         y: &[f64],
         sample: &[usize],
-        trainer: Trainer,
         presort: Option<&FullPresort>,
     ) -> Result<(), LearnError> {
         if y.len() != x.n_rows() {
@@ -1672,12 +1379,7 @@ impl DecisionTreeRegressor {
                 "sample index {bad} out of range"
             )));
         }
-        self.fitted = Some(match trainer {
-            Trainer::Binned => {
-                crate::binned::grow_standalone::<Mse>(x, y, sample, &self.config, presort)
-            }
-            _ => Grow::<Mse>::build(x, y, sample, &self.config, trainer, presort),
-        });
+        self.fitted = Some(Grow::<Mse>::build(x, y, sample, &self.config, presort));
         Ok(())
     }
 
@@ -1884,9 +1586,6 @@ mod tests {
         let err = t.fit(&x, &y).unwrap_err();
         assert!(matches!(err, LearnError::Invalid(_)), "{err}");
         assert!(err.to_string().contains("NaN"));
-        // Both trainers refuse identically.
-        let all: Vec<usize> = (0..x.n_rows()).collect();
-        assert_eq!(t.fit_on_sample_reference(&x, &y, &all).unwrap_err(), err);
 
         let mut r = DecisionTreeRegressor::default();
         let yr: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
@@ -1894,63 +1593,6 @@ mod tests {
             r.fit(&x, &yr).unwrap_err(),
             LearnError::Invalid(_)
         ));
-        assert!(r.fit_on_sample_reference(&x, &yr, &all).is_err());
-    }
-
-    #[test]
-    fn presorted_matches_reference_trainer_bit_for_bit() {
-        // Duplicate-heavy quantized features stress the tie-order replay
-        // (run bucketing) on both criteria.
-        let rows: Vec<Vec<f64>> = (0..60)
-            .map(|i| vec![(i % 5) as f64, ((i * 7) % 3) as f64, (i % 11) as f64 / 2.0])
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<u8> = rows.iter().map(|r| u8::from(r[0] + r[1] > 3.0)).collect();
-        let yr: Vec<f64> = rows
-            .iter()
-            .map(|r| r[0] * 1.7 - r[2] * 0.3 + r[1])
-            .collect();
-        // A bootstrap-like sample with duplicates.
-        let sample: Vec<usize> = (0..60).map(|i| (i * 13 + i % 7) % 60).collect();
-        for max_features in [None, Some(2)] {
-            let cfg = TreeConfig {
-                max_depth: 6,
-                min_samples_leaf: 2,
-                max_features,
-                seed: 9,
-                ..TreeConfig::default()
-            };
-            let mut a = DecisionTreeClassifier::new(cfg.clone());
-            let mut b = DecisionTreeClassifier::new(cfg.clone());
-            a.fit_on_sample(&x, &y, &sample).unwrap();
-            b.fit_on_sample_reference(&x, &y, &sample).unwrap();
-            assert_eq!(a.depth().unwrap(), b.depth().unwrap());
-            assert_eq!(
-                a.feature_importances().unwrap(),
-                b.feature_importances().unwrap()
-            );
-            for i in 0..x.n_rows() {
-                assert_eq!(
-                    a.predict_row(x.row(i)).unwrap().to_bits(),
-                    b.predict_row(x.row(i)).unwrap().to_bits()
-                );
-            }
-            let mut ra = DecisionTreeRegressor::new(cfg.clone());
-            let mut rb = DecisionTreeRegressor::new(cfg);
-            ra.fit_on_sample(&x, &yr, &sample).unwrap();
-            rb.fit_on_sample_reference(&x, &yr, &sample).unwrap();
-            assert_eq!(ra.depth().unwrap(), rb.depth().unwrap());
-            assert_eq!(
-                ra.feature_importances().unwrap(),
-                rb.feature_importances().unwrap()
-            );
-            for i in 0..x.n_rows() {
-                assert_eq!(
-                    ra.predict_row(x.row(i)).unwrap().to_bits(),
-                    rb.predict_row(x.row(i)).unwrap().to_bits()
-                );
-            }
-        }
     }
 
     #[test]

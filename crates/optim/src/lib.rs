@@ -16,18 +16,14 @@
 //! * [`random_search`] / [`grid`] — the standard derivative-free
 //!   baselines.
 //! * [`nelder_mead`] — local simplex search.
-//! * [`anneal`] — simulated annealing.
 //! * [`goal_seek`] — 1-D bisection/Brent root finding, the "Excel Goal
 //!   Seek" baseline the paper cites from spreadsheet practice.
-//! * [`penalty`] — linear inequality constraints folded into the
-//!   objective (the Constrained Analysis mechanism beyond box bounds).
 //!
 //! Everything minimizes; wrap with [`objective::NegatedObjective`] to
 //! maximize. All optimizers respect box [`bounds::Bounds`] natively —
 //! the paper's per-driver low/high constraints.
 
 pub mod acquisition;
-pub mod anneal;
 pub mod bayes;
 pub mod bounds;
 pub mod goal_seek;
@@ -35,7 +31,6 @@ pub mod gp;
 pub mod grid;
 pub mod nelder_mead;
 pub mod objective;
-pub mod penalty;
 pub mod random_search;
 pub mod result;
 

@@ -14,7 +14,7 @@
 //!   agreement metrics (Kendall tau, top-k overlap) used to *verify* that
 //!   different importance measures tell the same story.
 //! * [`describe`] — streaming mean/variance (Welford), moments.
-//! * [`quantile`] — quantiles with linear interpolation, histograms.
+//! * [`mod@quantile`] — quantiles with linear interpolation, histograms.
 //! * [`sampling`] — seeded bootstrap / permutation / reservoir sampling.
 //! * [`distributions`] — normal/lognormal/Poisson samplers built on
 //!   `rand` uniforms (Box–Muller, Knuth), used by `whatif-datagen`.

@@ -23,7 +23,7 @@
 //!
 //! This crate is protocol-*mechanics* only: frames, compression, and
 //! block layouts over plain types (`u64`/`f64`/`String`). Mapping wire
-//! messages onto engine [`Request`]s lives in `whatif-server`'s `v3`
+//! messages onto engine `Request`s lives in `whatif-server`'s `v3`
 //! module, so the dependency arrow stays wire ← server and the engine
 //! facade remains transport-agnostic.
 

@@ -15,7 +15,7 @@
 //! The final sequence carries literals only (no offset/match). Matches
 //! are found with a greedy hash-chain searcher: a hash of every 4-byte
 //! prefix heads a per-position chain, and the longest of the first
-//! [`MAX_PROBES`] candidates within the 64 KiB offset window wins. The
+//! 16 candidates (`MAX_PROBES`) within the 64 KiB offset window wins. The
 //! hash table is sized to the input, from 2^8 entries up to 2^15 for
 //! inputs of 32 KiB or more, so a ~300 B reply frame does not fill a
 //! 128 KiB table. The decompressor is fully bounds-checked — corrupt input

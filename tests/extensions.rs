@@ -1,12 +1,11 @@
 //! Integration tests for the extension modules: bootstrap confidence
-//! intervals, Excel-style single-driver goal seek, and partial
-//! dependence — each exercised against the deal-closing use case.
+//! intervals and Excel-style single-driver goal seek, each exercised
+//! against the deal-closing use case.
 
 use whatif::core::goal::{Goal, GoalConfig, OptimizerChoice};
 use whatif::core::prelude::*;
 use whatif::core::uncertainty::BootstrapConfig;
 use whatif::datagen::deal_closing;
-use whatif::learn::pdp::{feature_grid, ice_curves, partial_dependence};
 
 fn fast_forest() -> ModelConfig {
     ModelConfig {
@@ -83,24 +82,4 @@ fn single_driver_goal_seek_is_the_weak_baseline() {
         failed.achieved_kpi,
         ambitious
     );
-}
-
-#[test]
-fn partial_dependence_agrees_with_importance_direction() {
-    let model = trained();
-    let ome = model.driver_index("Open Marketing Email").expect("driver");
-    let grid = feature_grid(model.matrix(), ome, 6);
-    let pdp = partial_dependence(model.predictor(), model.matrix(), ome, &grid).expect("pdp runs");
-    // More marketing emails -> higher predicted close rate overall.
-    assert!(
-        pdp.mean.last().unwrap() > pdp.mean.first().unwrap(),
-        "PDP should rise: {:?}",
-        pdp.mean
-    );
-    // ICE curves exist for individual prospects and stay in [0, 1].
-    let ice = ice_curves(model.predictor(), model.matrix(), ome, &grid, 20).expect("ice runs");
-    assert_eq!(ice.len(), 20);
-    for curve in &ice {
-        assert!(curve.iter().all(|p| (0.0..=1.0).contains(p)));
-    }
 }

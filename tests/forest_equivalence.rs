@@ -1,14 +1,20 @@
 //! Equivalence suite for the forest hot-path overhaul: the presorted
 //! trainer and the tree-major flattened predictor must be
-//! **bit-identical** to the seed implementations (per-node
-//! gather-and-sort training, row-major per-row prediction), which are
-//! retained as `fit_reference` / `fit_on_sample_reference` /
-//! `predict_batch_rowmajor`. Identity is pinned across random data
-//! (including duplicate-heavy quantized features that stress the
-//! tie-order replay), random tree/forest configurations, and thread
-//! counts — covering predictions, depths, importances, and OOB scores.
+//! **bit-identical** to the seed implementation (per-node
+//! gather-and-sort training, row-major `if x <= t` walks), which lives
+//! on only as the standalone oracle in `seed_cart`. Identity is pinned
+//! across random data (including duplicate-heavy quantized features
+//! that stress the tie-order replay), random tree/forest
+//! configurations, and thread counts — covering predictions, depths,
+//! importances, and OOB scores. Golden fingerprints pin the binned tier
+//! and GBDT, which the oracle does not model.
+
+mod seed_cart;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use seed_cart::{Gini, Mse, SeedForest, SeedTree};
 use whatif::core::kpi::KpiKind;
 use whatif::core::model_backend::{ModelConfig, ModelKind, TrainedModel};
 use whatif::learn::forest::ForestConfig;
@@ -75,21 +81,18 @@ fn probe_rows(x: &Matrix) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The seed row-major batch path of a forest.
-type RowMajor<'a> = &'a dyn Fn(MatrixView<'_>, &mut [f64]) -> Result<(), LearnError>;
+/// The labels as the 0/1 targets the oracle's Gini criterion folds.
+fn as_targets(labels: &[u8]) -> Vec<f64> {
+    labels.iter().map(|&l| f64::from(l)).collect()
+}
 
-/// Batch prediction == the seed row-major path (when the family has
-/// one) == per-row prediction, bit for bit, on the dense matrix, on an
+/// Batch prediction == the seed oracle's row-major walk (for the exact
+/// tier) == per-row prediction, bit for bit, on the dense matrix, on an
 /// overlay scaling column 1 by `1 + pct`, and on an overlay whose
 /// column 0 holds ±inf cells and NaN cells (an analyst's −100 % move of
 /// an infinite cell) among scaled ones: such cells must route exactly
 /// like the seed's `if x <= t` walk.
-fn batch_paths_agree<P: Predictor>(
-    model: &P,
-    row_major: Option<RowMajor<'_>>,
-    x: &Matrix,
-    pct: f64,
-) {
+fn batch_paths_agree<P: Predictor>(model: &P, oracle: Option<&SeedForest>, x: &Matrix, pct: f64) {
     let n = x.n_rows();
     let moved = |v: f64, pct: f64| v * (1.0 + pct);
     let mut scaled = ColumnOverlay::new(x);
@@ -114,14 +117,11 @@ fn batch_paths_agree<P: Predictor>(
     for (view, reference) in views {
         let mut batch = vec![0.0; n];
         model.predict_batch(view, &mut batch).unwrap();
-        if let Some(row_major) = row_major {
-            let mut seed_path = vec![0.0; n];
-            row_major(view, &mut seed_path).unwrap();
-            for (i, (a, b)) in batch.iter().zip(&seed_path).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
-            }
-        }
         for (i, a) in batch.iter().enumerate() {
+            if let Some(oracle) = oracle {
+                let seed = oracle.predict_row(reference.row(i));
+                assert_eq!(a.to_bits(), seed.to_bits(), "row {i}");
+            }
             let per_row = model.predict_row(reference.row(i)).unwrap();
             assert_eq!(a.to_bits(), per_row.to_bits(), "row {i}");
         }
@@ -201,8 +201,8 @@ fn delta_agrees_with_full_kernel(model: &dyn Predictor, x: &Matrix, j: usize, pc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    // Single trees: presorted == reference on depth, importances, and
-    // every prediction, for both criteria, across configs and
+    // Single trees: presorted == the seed oracle on depth, importances,
+    // and every prediction, for both criteria, across configs and
     // bootstrap-style samples with duplicates.
     #[test]
     fn tree_presorted_equals_reference(
@@ -222,34 +222,28 @@ proptest! {
         let sample: Vec<usize> = (0..n_rows).map(|i| (i * dup_stride) % n_rows).collect();
 
         let mut a = DecisionTreeClassifier::new(cfg.clone());
-        let mut b = DecisionTreeClassifier::new(cfg.clone());
         a.fit_on_sample(&x, &labels, &sample).unwrap();
-        b.fit_on_sample_reference(&x, &labels, &sample).unwrap();
-        prop_assert_eq!(a.depth().unwrap(), b.depth().unwrap());
-        prop_assert_eq!(a.feature_importances().unwrap(), b.feature_importances().unwrap());
+        let b = SeedTree::fit::<Gini>(&x, &as_targets(&labels), &sample, &cfg);
+        prop_assert_eq!(a.depth().unwrap(), b.depth);
+        prop_assert_eq!(a.feature_importances().unwrap(), b.feature_importances());
         for i in 0..x.n_rows() {
             prop_assert!(
-                a.predict_row(x.row(i)).unwrap().to_bits()
-                    == b.predict_row(x.row(i)).unwrap().to_bits()
+                a.predict_row(x.row(i)).unwrap().to_bits() == b.predict_row(x.row(i)).to_bits()
             );
         }
 
         let mut ra = DecisionTreeRegressor::new(cfg.clone());
-        let mut rb = DecisionTreeRegressor::new(cfg);
         ra.fit_on_sample(&x, &y, &sample).unwrap();
-        rb.fit_on_sample_reference(&x, &y, &sample).unwrap();
-        prop_assert_eq!(ra.depth().unwrap(), rb.depth().unwrap());
-        prop_assert_eq!(ra.feature_importances().unwrap(), rb.feature_importances().unwrap());
+        let rb = SeedTree::fit::<Mse>(&x, &y, &sample, &cfg);
+        prop_assert_eq!(ra.depth().unwrap(), rb.depth);
+        prop_assert_eq!(ra.feature_importances().unwrap(), rb.feature_importances());
         for row in probe_rows(&x) {
-            prop_assert!(
-                ra.predict_row(&row).unwrap().to_bits()
-                    == rb.predict_row(&row).unwrap().to_bits()
-            );
+            prop_assert!(ra.predict_row(&row).unwrap().to_bits() == rb.predict_row(&row).to_bits());
         }
     }
 
-    // Forests: presorted == reference on OOB score, importances, and
-    // batched predictions, at any training thread count.
+    // Forests: presorted == the seed oracle on OOB score, importances,
+    // and batched predictions, at any training thread count.
     #[test]
     fn forest_presorted_equals_reference(
         seed in 0u64..1000,
@@ -272,41 +266,33 @@ proptest! {
         };
         if classify {
             let mut new = RandomForestClassifier::new(config.clone());
-            let mut old = RandomForestClassifier::new(config);
             new.fit(&x, &labels).unwrap();
-            old.fit_reference(&x, &labels).unwrap();
-            prop_assert!(
-                new.oob_accuracy().unwrap().to_bits() == old.oob_accuracy().unwrap().to_bits()
-            );
-            prop_assert_eq!(new.feature_importances().unwrap(), old.feature_importances().unwrap());
+            let old = SeedForest::fit_classifier(&x, &labels, &config);
+            prop_assert!(new.oob_accuracy().unwrap().to_bits() == old.oob_score.to_bits());
+            prop_assert_eq!(new.feature_importances().unwrap(), &old.importances[..]);
             let mut pa = vec![0.0; x.n_rows()];
-            let mut pb = vec![0.0; x.n_rows()];
             new.predict_batch(MatrixView::Dense(&x), &mut pa).unwrap();
-            old.predict_batch(MatrixView::Dense(&x), &mut pb).unwrap();
-            for (a, b) in pa.iter().zip(&pb) {
-                prop_assert!(a.to_bits() == b.to_bits());
+            for (i, a) in pa.iter().enumerate() {
+                prop_assert!(a.to_bits() == old.predict_row(x.row(i)).to_bits());
             }
         } else {
             let mut new = RandomForestRegressor::new(config.clone());
-            let mut old = RandomForestRegressor::new(config);
             new.fit(&x, &y).unwrap();
-            old.fit_reference(&x, &y).unwrap();
-            prop_assert!(new.oob_r2().unwrap().to_bits() == old.oob_r2().unwrap().to_bits());
-            prop_assert_eq!(new.feature_importances().unwrap(), old.feature_importances().unwrap());
+            let old = SeedForest::fit_regressor(&x, &y, &config);
+            prop_assert!(new.oob_r2().unwrap().to_bits() == old.oob_score.to_bits());
+            prop_assert_eq!(new.feature_importances().unwrap(), &old.importances[..]);
             for row in probe_rows(&x) {
-                prop_assert!(
-                    new.predict_row(&row).unwrap().to_bits()
-                        == old.predict_row(&row).unwrap().to_bits()
-                );
+                prop_assert!(new.predict_row(&row).unwrap().to_bits() == old.predict_row(&row).to_bits());
             }
         }
     }
 
-    // The tree-major flattened batch path == the seed row-major path ==
-    // per-row prediction, bit for bit, for every family that scores
-    // through it (exact and binned forests of both kinds, GBDT rounds),
-    // from stumps to depth-24 trees, on dense and overlay inputs —
-    // including ±inf and NaN overlay cells — at any thread count.
+    // The tree-major flattened batch path == per-row prediction, bit for
+    // bit, for every family that scores through it (exact and binned
+    // forests of both kinds, GBDT rounds), and == the seed oracle's
+    // row-major walk for exact forests, from stumps to depth-24 trees,
+    // on dense and overlay inputs — including ±inf and NaN overlay
+    // cells — at any thread count.
     #[test]
     fn treemajor_batch_equals_rowmajor_and_per_row(
         seed in 0u64..1000,
@@ -326,12 +312,15 @@ proptest! {
                 trainer,
                 ..ForestConfig::default()
             };
+            let exact = trainer == Trainer::Presorted;
             let mut c = RandomForestClassifier::new(config.clone());
             c.fit(&x, &labels).unwrap();
-            batch_paths_agree(&c, Some(&|v, out| c.predict_batch_rowmajor(v, out)), &x, pct);
-            let mut r = RandomForestRegressor::new(config);
+            let oracle = exact.then(|| SeedForest::fit_classifier(&x, &labels, &config));
+            batch_paths_agree(&c, oracle.as_ref(), &x, pct);
+            let mut r = RandomForestRegressor::new(config.clone());
             r.fit(&x, &y).unwrap();
-            batch_paths_agree(&r, Some(&|v, out| r.predict_batch_rowmajor(v, out)), &x, pct);
+            let oracle = exact.then(|| SeedForest::fit_regressor(&x, &y, &config));
+            batch_paths_agree(&r, oracle.as_ref(), &x, pct);
         }
         let gbdt = GbdtConfig {
             n_rounds: n_trees,
@@ -437,7 +426,7 @@ proptest! {
 }
 
 /// A NaN feature cell is a clean [`LearnError`] from every fit entry
-/// point — never a panic — and both trainers refuse identically.
+/// point — never a panic.
 #[test]
 fn nan_cell_yields_clean_error_everywhere() {
     let (x, labels, y) = training_data(3, 30, 101);
@@ -449,16 +438,11 @@ fn nan_cell_yields_clean_error_everywhere() {
     assert!(matches!(tc.fit(&bad, &labels), Err(LearnError::Invalid(_))));
     let mut tr = DecisionTreeRegressor::default();
     assert!(matches!(tr.fit(&bad, &y), Err(LearnError::Invalid(_))));
-    let all: Vec<usize> = (0..bad.n_rows()).collect();
-    assert!(tc.fit_on_sample_reference(&bad, &labels, &all).is_err());
-    assert!(tr.fit_on_sample_reference(&bad, &y, &all).is_err());
 
     let mut fc = RandomForestClassifier::with_trees(3, 1);
     assert!(matches!(fc.fit(&bad, &labels), Err(LearnError::Invalid(_))));
-    assert!(fc.fit_reference(&bad, &labels).is_err());
     let mut fr = RandomForestRegressor::with_trees(3, 1);
     assert!(matches!(fr.fit(&bad, &y), Err(LearnError::Invalid(_))));
-    assert!(fr.fit_reference(&bad, &y).is_err());
 
     // And through the model backend: training surfaces the error
     // instead of panicking the caller (the server's train path).
@@ -478,6 +462,124 @@ fn nan_cell_yields_clean_error_everywhere() {
     assert!(result.is_err());
 }
 
+/// Golden model fingerprints on [`training_data`] (xorshift, no libm
+/// calls), recorded before the seed trainer moved out of `whatif-learn`.
+/// A fingerprint hashes the training predictions and the holdout
+/// confidence, so any drift in the exact tier, the binned tier or GBDT
+/// changes it — including the two the seed oracle cannot see. The GBDT
+/// classifier is left out: its logistic loss calls `exp` and `ln`, whose
+/// last bits depend on the platform's libm.
+#[test]
+fn golden_model_fingerprints() {
+    use whatif::core::model_backend::TrainerTier;
+    const GOLDEN: [(&str, u128); 14] = [
+        (
+            "forest/continuous/exact/seed5",
+            0x5e44d1bc67e2fcfbc3a9efb20b84c78e,
+        ),
+        (
+            "forest/continuous/exact_mf2/seed5",
+            0x8a0904b2856e058570250059a38799b8,
+        ),
+        (
+            "forest/continuous/binned/seed5",
+            0x7edfeae9f07f0dbf3221efcb04d2bf2d,
+        ),
+        (
+            "forest/binary/exact/seed5",
+            0xb4442e0c0e28e66ffe2380f38c59eb3b,
+        ),
+        (
+            "forest/binary/exact_mf2/seed5",
+            0x0b84a50ac807dda9ee43ac62d74aafd2,
+        ),
+        (
+            "forest/binary/binned/seed5",
+            0xa44d6854bcfae766951b217b619b73b7,
+        ),
+        ("gbdt/continuous/seed5", 0x18239d408c2dfddbf0f2240f0bb869ee),
+        (
+            "forest/continuous/exact/seed77",
+            0xf848defaad3e956b458d657f24ee0b5c,
+        ),
+        (
+            "forest/continuous/exact_mf2/seed77",
+            0xccd71956367377e61bf33ddeefd7ec9a,
+        ),
+        (
+            "forest/continuous/binned/seed77",
+            0x8d442e1046db0654eb1decf94d1d5f32,
+        ),
+        (
+            "forest/binary/exact/seed77",
+            0x8201329b9ce35731573965cf5c602b6a,
+        ),
+        (
+            "forest/binary/exact_mf2/seed77",
+            0xefa9cbe40ec2bb38bb701f9dd152a3e3,
+        ),
+        (
+            "forest/binary/binned/seed77",
+            0x7c8a11e47dcdfc4c73fb1d1cd356362f,
+        ),
+        ("gbdt/continuous/seed77", 0x1041e3164c90dae7e35dbb1683347c6a),
+    ];
+    let names: Vec<String> = (0..FEATURES).map(|j| format!("d{j}")).collect();
+    let fingerprint = |x: &Matrix, y: &[f64], kpi_kind, config: ModelConfig| {
+        TrainedModel::fit("y", kpi_kind, names.clone(), x.clone(), y.to_vec(), &config)
+            .unwrap()
+            .fingerprint()
+            .as_u128()
+    };
+    let mut got = Vec::new();
+    for seed in [5u64, 77] {
+        let (x, labels, y) = training_data(seed, 120, 1009);
+        let binary: Vec<f64> = labels.iter().map(|&l| f64::from(l)).collect();
+        for (kpi, kpi_kind, target) in [
+            ("continuous", KpiKind::Continuous, &y),
+            ("binary", KpiKind::Binary, &binary),
+        ] {
+            for (tier, trainer, max_features) in [
+                ("exact", TrainerTier::Exact, None),
+                ("exact_mf2", TrainerTier::Exact, Some(2)),
+                ("binned", TrainerTier::Binned, None),
+            ] {
+                let config = ModelConfig {
+                    kind: ModelKind::RandomForest,
+                    n_trees: 12,
+                    max_depth: 8,
+                    seed,
+                    max_features,
+                    n_threads: 2,
+                    trainer,
+                    ..ModelConfig::default()
+                };
+                let name = format!("forest/{kpi}/{tier}/seed{seed}");
+                got.push((name, fingerprint(&x, target, kpi_kind, config)));
+            }
+        }
+        let config = ModelConfig {
+            kind: ModelKind::Gbdt,
+            n_trees: 12,
+            max_depth: 4,
+            seed,
+            n_threads: 2,
+            ..ModelConfig::default()
+        };
+        let name = format!("gbdt/continuous/seed{seed}");
+        got.push((name, fingerprint(&x, &y, KpiKind::Continuous, config)));
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, fp)| format!("    (\"{name}\", 0x{fp:032x}),\n"))
+        .collect();
+    assert_eq!(got.len(), GOLDEN.len(), "actual fingerprints:\n{table}");
+    for ((name, fp), (golden_name, golden)) in got.iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name);
+        assert_eq!(*fp, golden, "{name} drifted; actual fingerprints:\n{table}");
+    }
+}
+
 /// Infinities are *not* NaN: they sort deterministically and training
 /// still succeeds (the seed accepted them; the rewrite must too).
 #[test]
@@ -488,13 +590,111 @@ fn infinite_features_still_train_identically() {
     rows[17][0] = f64::NEG_INFINITY;
     let inf = Matrix::from_rows(&rows).unwrap();
     let mut a = RandomForestClassifier::with_trees(4, 2);
-    let mut b = RandomForestClassifier::with_trees(4, 2);
     a.fit(&inf, &labels).unwrap();
-    b.fit_reference(&inf, &labels).unwrap();
+    let b = SeedForest::fit_classifier(&inf, &labels, &a.config);
     for i in 0..inf.n_rows() {
         assert_eq!(
             a.predict_row(inf.row(i)).unwrap().to_bits(),
-            b.predict_row(inf.row(i)).unwrap().to_bits()
+            b.predict_row(inf.row(i)).to_bits()
+        );
+    }
+}
+
+/// Fixed duplicate-heavy quantized features stress the tie-order replay
+/// (run bucketing) of single trees on both criteria, with and without
+/// feature subsampling, on a bootstrap-like sample with duplicates.
+#[test]
+fn presorted_matches_reference_trainer_bit_for_bit() {
+    let rows: Vec<Vec<f64>> = (0..60)
+        .map(|i| vec![(i % 5) as f64, ((i * 7) % 3) as f64, (i % 11) as f64 / 2.0])
+        .collect();
+    let x = Matrix::from_rows(&rows).unwrap();
+    let y: Vec<u8> = rows.iter().map(|r| u8::from(r[0] + r[1] > 3.0)).collect();
+    let yr: Vec<f64> = rows
+        .iter()
+        .map(|r| r[0] * 1.7 - r[2] * 0.3 + r[1])
+        .collect();
+    let sample: Vec<usize> = (0..60).map(|i| (i * 13 + i % 7) % 60).collect();
+    for max_features in [None, Some(2)] {
+        let cfg = TreeConfig {
+            max_depth: 6,
+            min_samples_leaf: 2,
+            max_features,
+            seed: 9,
+            ..TreeConfig::default()
+        };
+        let mut a = DecisionTreeClassifier::new(cfg.clone());
+        a.fit_on_sample(&x, &y, &sample).unwrap();
+        let b = SeedTree::fit::<Gini>(&x, &as_targets(&y), &sample, &cfg);
+        assert_eq!(a.depth().unwrap(), b.depth);
+        assert_eq!(a.feature_importances().unwrap(), b.feature_importances());
+        for i in 0..x.n_rows() {
+            assert_eq!(
+                a.predict_row(x.row(i)).unwrap().to_bits(),
+                b.predict_row(x.row(i)).to_bits()
+            );
+        }
+        let mut ra = DecisionTreeRegressor::new(cfg.clone());
+        ra.fit_on_sample(&x, &yr, &sample).unwrap();
+        let rb = SeedTree::fit::<Mse>(&x, &yr, &sample, &cfg);
+        assert_eq!(ra.depth().unwrap(), rb.depth);
+        assert_eq!(ra.feature_importances().unwrap(), rb.feature_importances());
+        for i in 0..x.n_rows() {
+            assert_eq!(
+                ra.predict_row(x.row(i)).unwrap().to_bits(),
+                rb.predict_row(x.row(i)).to_bits()
+            );
+        }
+    }
+}
+
+/// Default-configured forests of both families on continuous random
+/// features match the seed oracle on OOB score, importances and every
+/// training-row prediction.
+#[test]
+fn presorted_forest_matches_reference_forest_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let rows: Vec<Vec<f64>> = (0..180)
+        .map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()])
+        .collect();
+    let labels: Vec<u8> = rows
+        .iter()
+        .map(|r| u8::from(r[0] + r[1] + 0.1 * (rng.gen::<f64>() - 0.5) > 1.0))
+        .collect();
+    let x = Matrix::from_rows(&rows).unwrap();
+    let mut new = RandomForestClassifier::with_trees(12, 15);
+    new.fit(&x, &labels).unwrap();
+    let old = SeedForest::fit_classifier(&x, &labels, &new.config);
+    assert_eq!(
+        new.oob_accuracy().unwrap().to_bits(),
+        old.oob_score.to_bits()
+    );
+    assert_eq!(new.feature_importances().unwrap(), &old.importances[..]);
+    for i in 0..x.n_rows() {
+        assert_eq!(
+            new.predict_row(x.row(i)).unwrap().to_bits(),
+            old.predict_row(x.row(i)).to_bits()
+        );
+    }
+
+    let mut rng = StdRng::seed_from_u64(16);
+    let rows: Vec<Vec<f64>> = (0..150)
+        .map(|_| vec![rng.gen::<f64>() * 4.0, rng.gen::<f64>()])
+        .collect();
+    let y: Vec<f64> = rows
+        .iter()
+        .map(|r| r[0].sin() * 3.0 + 0.05 * (rng.gen::<f64>() - 0.5))
+        .collect();
+    let x = Matrix::from_rows(&rows).unwrap();
+    let mut new = RandomForestRegressor::with_trees(9, 17);
+    new.fit(&x, &y).unwrap();
+    let old = SeedForest::fit_regressor(&x, &y, &new.config);
+    assert_eq!(new.oob_r2().unwrap().to_bits(), old.oob_score.to_bits());
+    assert_eq!(new.feature_importances().unwrap(), &old.importances[..]);
+    for i in 0..x.n_rows() {
+        assert_eq!(
+            new.predict_row(x.row(i)).unwrap().to_bits(),
+            old.predict_row(x.row(i)).to_bits()
         );
     }
 }

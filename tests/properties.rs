@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use whatif::core::perturbation::{Perturbation, PerturbationSet};
 use whatif::frame::csv::{parse_csv, write_csv};
-use whatif::frame::{Column, Frame, SortOrder};
+use whatif::frame::{Column, Frame};
 use whatif::learn::Matrix;
 use whatif::optim::objective::FnObjective;
 use whatif::optim::random_search::random_search;
@@ -26,16 +26,6 @@ proptest! {
         let filtered = frame.filter(&mask).unwrap();
         prop_assert!(filtered.n_rows() <= n);
         prop_assert_eq!(filtered.n_rows(), mask.iter().filter(|&&b| b).count());
-    }
-
-    #[test]
-    fn frame_sort_is_a_permutation(values in finite_vec(64)) {
-        let frame = Frame::from_columns(vec![Column::from_f64("x", values.clone())]).unwrap();
-        let sorted = frame.sort_by(&[("x", SortOrder::Ascending)]).unwrap();
-        let mut original = values;
-        original.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let got = sorted.column("x").unwrap().f64_values().unwrap().to_vec();
-        prop_assert_eq!(got, original);
     }
 
     #[test]
