@@ -6,9 +6,9 @@
 //! bulk evaluation over large scenario sets — "as many scenarios as you
 //! can imagine". A [`ScenarioSet`] compiles every scenario's
 //! perturbations once (validation and driver-index resolution up
-//! front), then scores scenarios in parallel on scoped threads, each
-//! through a copy-on-write column overlay and one batched prediction
-//! pass — zero full-matrix clones.
+//! front), then scores scenarios in parallel on the prediction workers
+//! of `whatif_learn::pool`, each through a copy-on-write column overlay
+//! and one batched prediction pass — zero full-matrix clones.
 
 use crate::error::{CoreError, Result};
 use crate::model_backend::TrainedModel;
@@ -145,11 +145,14 @@ impl TrainedModel {
     /// Exactly one level of fan-out: when the model's own batch
     /// prediction already parallelizes over rows (big forests), run
     /// plans sequentially and let it use the cores; otherwise fan out
-    /// over plans — but only when the grid carries enough work to
-    /// amortize thread spawns, and never beyond the hardware's
-    /// parallelism. Results are order-preserved and identical in every
-    /// case, which is why the cache-aware path can score just its
-    /// misses through the same helper and stay bit-identical.
+    /// over plans on the prediction workers
+    /// ([`whatif_learn::pool::for_each`]) — but only when the grid
+    /// carries enough work to amortize the hand-off, and never beyond
+    /// the hardware's parallelism. A worker's panic reaches the caller
+    /// with its original payload. Results are order-preserved and
+    /// identical in every case, which is why the cache-aware path can
+    /// score just its misses through the same helper and stay
+    /// bit-identical.
     pub(crate) fn score_plans(
         &self,
         plans: &[&PerturbationPlan],
@@ -168,31 +171,16 @@ impl TrainedModel {
         } else {
             whatif_learn::forest::worker_count(requested_threads, plans.len())
         };
-        if n_threads <= 1 {
+        let mut kpis: Vec<Result<f64>> = plans.iter().map(|_| Ok(f64::NAN)).collect();
+        let chunk_len = plans.len().div_ceil(n_threads).max(1);
+        let chunks = plans.chunks(chunk_len).zip(kpis.chunks_mut(chunk_len));
+        whatif_learn::pool::for_each(chunks, |(plans, kpis)| {
             let mut buf = vec![0.0; self.matrix().n_rows()];
-            plans.iter().map(|p| score(p, &mut buf)).collect()
-        } else {
-            let chunk_len = plans.len().div_ceil(n_threads);
-            let chunks: Vec<Vec<Result<f64>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = plans
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        let score = &score;
-                        scope.spawn(move || {
-                            let mut buf = vec![0.0; self.matrix().n_rows()];
-                            chunk.iter().map(|p| score(p, &mut buf)).collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // Propagate a worker's panic with its original
-                    // payload instead of minting a new one here.
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            });
-            chunks.into_iter().flatten().collect()
-        }
+            for (plan, kpi) in plans.iter().zip(kpis) {
+                *kpi = score(plan, &mut buf);
+            }
+        });
+        kpis
     }
 }
 

@@ -8,10 +8,12 @@
 //! uncertainty intervals — to the tree ensembles' delta kernel, which
 //! walks only the (row, tree) pairs the move can send to another leaf.
 //! Each model builds the [`LeafTable`] that kernel needs on its first
-//! such view and keeps it for its lifetime; the store charges for it up
-//! front. Dense input and multi-driver views (goal inversion, scenario
-//! grids) take the full kernel. Both give the same bits, so
-//! fingerprints and cache keys do not depend on the route.
+//! such view and keeps it for its lifetime, together with the leaves of
+//! its last one-driver view, which the next view on the same driver
+//! reuses; the store charges for both up front. Dense input and
+//! multi-driver views (goal inversion, scenario grids) take the full
+//! kernel. Both give the same bits, so fingerprints and cache keys do
+//! not depend on the route.
 
 use crate::error::{CoreError, Result};
 use crate::kpi::KpiKind;
@@ -185,14 +187,15 @@ impl FittedModel {
         }
     }
 
-    /// Trees in the ensemble; `None` for the linear families.
-    fn n_trees(&self) -> Option<usize> {
+    /// Trees in the ensemble and nodes across them; `None` for the
+    /// linear families.
+    fn tree_shape(&self) -> Option<(usize, usize)> {
         match self {
             FittedModel::Linear(_) | FittedModel::Logistic(_) => None,
-            FittedModel::ForestClassifier(m) => Some(m.n_trees()),
-            FittedModel::ForestRegressor(m) => Some(m.n_trees()),
-            FittedModel::GbdtClassifier(m) => Some(m.n_trees()),
-            FittedModel::GbdtRegressor(m) => Some(m.n_trees()),
+            FittedModel::ForestClassifier(m) => Some((m.n_trees(), m.n_nodes())),
+            FittedModel::ForestRegressor(m) => Some((m.n_trees(), m.n_nodes())),
+            FittedModel::GbdtClassifier(m) => Some((m.n_trees(), m.n_nodes())),
+            FittedModel::GbdtRegressor(m) => Some((m.n_trees(), m.n_nodes())),
         }
     }
 }
@@ -236,6 +239,9 @@ impl TrainedModel {
         y: Vec<f64>,
         config: &ModelConfig,
     ) -> Result<TrainedModel> {
+        // Prediction workers start before any tree's scratch exists
+        // (see `whatif_learn::pool::start`).
+        whatif_learn::pool::start();
         let resolved = resolve_kind(config.kind, kpi_kind)?;
         if x.n_rows() < 4 {
             return Err(CoreError::Config(format!(
@@ -641,10 +647,11 @@ fn write_training_inputs(
 /// [`crate::store::ModelStore`]'s budget accounting. Dominated by the
 /// retained training matrix and targets; fitted parameters are
 /// estimated (forests charge a per-tree node-count bound — bootstrap
-/// leaves capped by the depth limit — since trees don't expose exact
-/// arena sizes). Tree ensembles also pay for their leaf table up
-/// front, 2 bytes per (row, tree), whether or not a one-driver view has
-/// built it yet: an entry's weight never changes while it is stored.
+/// leaves capped by the depth limit). Tree ensembles also pay for their
+/// leaf table up front, whether or not a one-driver view has built it
+/// yet: 2 bytes per (row, tree) for the leaves and 2 more for the drag
+/// memo, plus the per-tree feature index ([`LeafTable::bytes_for`]).
+/// An entry's weight never changes while it is stored.
 impl CacheWeight for TrainedModel {
     fn weight_bytes(&self) -> usize {
         let data = (self.x.n_rows() * self.x.n_cols() + self.y.len()) * 8;
@@ -663,10 +670,9 @@ impl CacheWeight for TrainedModel {
             FittedModel::GbdtClassifier(m) => m.n_nodes() * 24,
             FittedModel::GbdtRegressor(m) => m.n_nodes() * 24,
         };
-        let leaf_table = self
-            .model
-            .n_trees()
-            .map_or(0, |trees| self.x.n_rows() * trees * 2);
+        let leaf_table = self.model.tree_shape().map_or(0, |(trees, nodes)| {
+            LeafTable::bytes_for(self.x.n_rows(), trees, nodes, self.x.n_cols())
+        });
         data + names + fitted + leaf_table + self.kpi_name.len()
     }
 }
@@ -1190,11 +1196,20 @@ mod tests {
             };
             TrainedModel::fit("won", KpiKind::Binary, names(), x.clone(), y.clone(), &cfg).unwrap()
         };
+        // The leaves and the memo, 2 B per (row, tree) each, and the
+        // feature index: 2 B per internal node (a tree of k internal
+        // nodes has 2k + 1) and a 4 B offset per (tree, driver), plus one.
+        let table = |trees: usize, nodes: usize| {
+            rows * trees * 2 * 2 + (nodes - trees) / 2 * 2 + (trees * x.n_cols() + 1) * 4
+        };
         let forest = fit(ModelKind::RandomForest);
-        let table = rows * 20 * 2;
+        let FittedModel::ForestClassifier(f) = &forest.model else {
+            panic!("a forest model")
+        };
+        let forest_table = table(20, f.n_nodes());
         assert_eq!(
             forest.weight_bytes(),
-            floor + forest_bytes(20, rows) + table
+            floor + forest_bytes(20, rows) + forest_table
         );
         let gbdt = fit(ModelKind::Gbdt);
         let FittedModel::GbdtClassifier(g) = &gbdt.model else {
@@ -1202,16 +1217,19 @@ mod tests {
         };
         assert_eq!(
             gbdt.weight_bytes(),
-            floor + g.n_nodes() * 24 + rows * g.n_trees() * 2
+            floor + g.n_nodes() * 24 + table(g.n_trees(), g.n_nodes())
         );
-        // The charge covers the table that gets built, and building it
-        // does not change the weight the store already recorded.
+        // The charge covers the table that gets built, memo included,
+        // and neither building it nor a drag that fills the memo
+        // changes the weight the store already recorded.
         let before = forest.weight_bytes();
-        let mut one = ColumnOverlay::new(forest.matrix());
-        one.map_col(0, |v| v + 1.0).unwrap();
-        forest.kpi_for_view(MatrixView::Overlay(&one)).unwrap();
+        for pct in [10.0, 20.0, 40.0] {
+            let mut one = ColumnOverlay::new(forest.matrix());
+            one.map_col(0, |v| v * (1.0 + pct / 100.0)).unwrap();
+            forest.kpi_for_view(MatrixView::Overlay(&one)).unwrap();
+        }
         let built = forest.leaf_table.get().and_then(Option::as_ref).unwrap();
-        assert_eq!(built.n_rows() * built.n_trees() * 2, table);
+        assert_eq!(built.heap_bytes(), forest_table);
         assert_eq!(forest.weight_bytes(), before);
         // Linear families pay for no table.
         let logistic = fit(ModelKind::Logistic);

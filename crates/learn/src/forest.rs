@@ -5,7 +5,8 @@
 //! importances. This implementation reproduces those semantics: bootstrap
 //! rows per tree, sqrt/one-third feature subsampling per split, averaged
 //! normalized impurity importances, and out-of-bag scoring. Trees train
-//! in parallel on std scoped threads.
+//! in parallel on std scoped threads; each tree worker also walks its
+//! tree's out-of-bag rows, so the OOB score folds ready votes.
 //!
 //! Batched prediction is **tree-major blocked**: rows are scored in
 //! blocks of [`PREDICT_ROW_BLOCK`], and within a block every tree is
@@ -14,15 +15,17 @@
 //! whole forest being dragged through cache once per row. The per-row
 //! shape check is hoisted to one check per batch. Both changes are
 //! bit-identical to the seed's row-major `if x <= t` walk, which
-//! `tests/forest_equivalence.rs` keeps as its oracle.
+//! `tests/forest_equivalence.rs` keeps as its oracle. A batch big enough
+//! to split runs its row chunks on the parked workers of [`crate::pool`],
+//! not on threads spawned per call.
 //!
 //! A view that moves one column of the training matrix can skip most
 //! of that work: both forest families (and both GBDT types) implement
 //! [`Predictor::leaf_table`] and [`Predictor::predict_delta`], which
 //! keep each (row, tree) pair's training-matrix leaf wherever the moved
 //! value cannot change it and walk only the rest ([`crate::delta`]).
-//! The delta kernel fans out over rows with the same worker rule as
-//! the full kernel and gives the same bits.
+//! The delta kernel fans out over rows with the same worker rule and
+//! the same pool as the full kernel and gives the same bits.
 
 use crate::binned::{grow_binned, BinnedDataset};
 use crate::delta::{predict_delta_flats, LeafTable};
@@ -32,9 +35,10 @@ use crate::model::{
     Regressor,
 };
 use crate::overlay::ColumnOverlay;
+use crate::pool;
 use crate::tree::{
     check_no_nan_features, DecisionTreeClassifier, DecisionTreeRegressor, FlatTree, FullPresort,
-    Gini, Mse, Trainer, TreeConfig,
+    Gini, Mse, Trainer, TreeConfig, GROUP,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,23 +79,30 @@ impl Default for ForestConfig {
     }
 }
 
-/// Shared fitting logic: train `n_trees` base learners on bootstrap rows
-/// and collect per-tree OOB predictions.
-///
-/// Fitted base learners paired with their out-of-bag row indices.
-type FittedTrees<T> = Vec<(T, Vec<usize>)>;
+/// Fitted base learners, each with its out-of-bag votes: `(row, leaf)`
+/// for every row its bootstrap sample left out, the leaf the row lands
+/// on in that tree.
+type FittedTrees<T> = Vec<(T, Vec<(u32, u32)>)>;
 
-/// `train` receives `(tree_seed, bootstrap_sample)` and returns the fitted
-/// base learner; the caller supplies the family-specific constructor.
+/// Shared fitting logic: train `config.n_trees` base learners on
+/// bootstrap rows of `x` and walk each one's out-of-bag rows.
+///
+/// `train` receives `(tree_seed, bootstrap_sample)` and returns the
+/// fitted base learner, whose layout `flat` reads; the caller supplies
+/// the family-specific constructor. Trees come back in tree order, so
+/// folding their votes in that order is independent of the thread
+/// count.
 fn fit_trees<T, F>(
-    n_rows: usize,
+    x: &Matrix,
     config: &ForestConfig,
     train: F,
+    flat: fn(&T) -> Option<&FlatTree>,
 ) -> Result<FittedTrees<T>, LearnError>
 where
     T: Send,
     F: Fn(u64, &[usize]) -> Result<T, LearnError> + Sync,
 {
+    let n_rows = x.n_rows();
     if config.n_trees == 0 {
         return Err(LearnError::Invalid(
             "forest needs at least one tree".to_owned(),
@@ -109,33 +120,28 @@ where
             (tree_seed, sample)
         })
         .collect();
+    let fit_one = |(seed, sample): &(u64, Vec<usize>)| {
+        let tree = train(*seed, sample)?;
+        let oob = out_of_bag_indices(sample, n_rows);
+        let votes = oob_leaves(flat(&tree).ok_or(LearnError::NotFitted)?, x, &oob);
+        Ok((tree, votes))
+    };
 
     let n_threads = worker_count(config.n_threads, config.n_trees);
     if n_threads == 1 {
-        return jobs
-            .into_iter()
-            .map(|(seed, sample)| {
-                let oob = out_of_bag_indices(&sample, n_rows);
-                train(seed, &sample).map(|t| (t, oob))
-            })
-            .collect();
+        return jobs.iter().map(fit_one).collect();
     }
 
+    // Tree jobs run 20–100 ms, so spawning threads here costs under
+    // 0.5 %; the pool's parked workers would keep this scratch resident
+    // (see `crate::pool`).
     let chunk = jobs.len().div_ceil(n_threads);
     let results: Vec<Result<FittedTrees<T>, LearnError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks(chunk)
             .map(|chunk_jobs| {
-                let train = &train;
-                scope.spawn(move || {
-                    chunk_jobs
-                        .iter()
-                        .map(|(seed, sample)| {
-                            let oob = out_of_bag_indices(sample, n_rows);
-                            train(*seed, sample).map(|t| (t, oob))
-                        })
-                        .collect::<Result<Vec<_>, LearnError>>()
-                })
+                let fit_one = &fit_one;
+                scope.spawn(move || chunk_jobs.iter().map(fit_one).collect())
             })
             .collect();
         handles
@@ -149,6 +155,28 @@ where
         out.extend(r?);
     }
     Ok(out)
+}
+
+/// `(row, leaf)` for each of `rows`: the leaf the row of `x` lands on
+/// in `tree`, walked four rows at a time.
+fn oob_leaves(tree: &FlatTree, x: &Matrix, rows: &[usize]) -> Vec<(u32, u32)> {
+    let mut out = Vec::with_capacity(rows.len());
+    let full = rows.len() - rows.len() % GROUP;
+    for group in rows[..full].chunks_exact(GROUP) {
+        let leaves = tree.leaves_of([
+            x.row(group[0]),
+            x.row(group[1]),
+            x.row(group[2]),
+            x.row(group[3]),
+        ]);
+        out.extend(group.iter().zip(leaves).map(|(&r, l)| (r as u32, l as u32)));
+    }
+    out.extend(
+        rows[full..]
+            .iter()
+            .map(|&r| (r as u32, tree.leaf_of(x.row(r)) as u32)),
+    );
+    out
 }
 
 /// Minimum row×tree work before a forest batch fans out to threads.
@@ -188,8 +216,9 @@ pub fn worker_count(requested: usize, jobs: usize) -> usize {
 }
 
 /// Decide the worker count for a batch of `rows` rows over `n_trees`
-/// trees. Thread spawn costs ~tens of µs; only fan out when the batch
-/// has enough row×tree work to amortize it.
+/// trees. Waking a parked worker and waiting for it still costs µs;
+/// only fan out when the batch has enough row×tree work to amortize
+/// it.
 pub(crate) fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> usize {
     let work = rows.saturating_mul(n_trees);
     if work < PARALLEL_BATCH_MIN_WORK {
@@ -199,9 +228,16 @@ pub(crate) fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> us
     }
 }
 
+/// Rows per chunk when `rows` rows fan out under the [`batch_threads`]
+/// rule: one contiguous chunk per worker, never empty.
+pub(crate) fn row_chunk_len(n_threads: usize, rows: usize, n_trees: usize) -> usize {
+    rows.div_ceil(batch_threads(n_threads, rows, n_trees))
+        .max(1)
+}
+
 /// Shared batched prediction for every tree ensemble, tree-major
-/// blocked. Rows are split into contiguous chunks scored on
-/// `std::thread::scope` workers; within each [`PREDICT_ROW_BLOCK`]-row
+/// blocked. Rows are split into contiguous chunks scored on the parked
+/// workers of [`crate::pool`]; within each [`PREDICT_ROW_BLOCK`]-row
 /// block, every tree is traversed for the whole block before the next
 /// tree starts. `finalize` maps each row's accumulated leaf sum to the
 /// final score — `sum / n_trees` for forests, `base + sum` (or its
@@ -257,39 +293,12 @@ pub(crate) fn predict_batch_flats(
             }
         }
     };
-    for_row_chunks(n_threads, trees.len(), out, score_rows);
-    Ok(())
-}
-
-/// Fill `out` in contiguous row chunks, one per worker under the
-/// [`batch_threads`] rule; `score_rows(first_row, chunk)` scores one
-/// chunk. Every row writes its own slot, so the result never depends
-/// on the worker count.
-pub(crate) fn for_row_chunks(
-    n_threads: usize,
-    n_trees: usize,
-    out: &mut [f64],
-    score_rows: impl Fn(usize, &mut [f64]) + Sync,
-) {
-    let n_threads = batch_threads(n_threads, out.len(), n_trees);
-    if n_threads == 1 {
-        score_rows(0, out);
-        return;
-    }
-    let chunk_len = out.len().div_ceil(n_threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = out
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(k, chunk)| {
-                let score_rows = &score_rows;
-                scope.spawn(move || score_rows(k * chunk_len, chunk))
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("forest batch worker panicked");
-        }
+    // One contiguous row chunk per worker, on the pool.
+    let chunk_len = row_chunk_len(n_threads, out.len(), trees.len());
+    pool::for_each(out.chunks_mut(chunk_len).enumerate(), |(k, chunk)| {
+        score_rows(k * chunk_len, chunk);
     });
+    Ok(())
 }
 
 fn averaged_importances(per_tree: &[Vec<f64>], p: usize) -> Vec<f64> {
@@ -383,6 +392,11 @@ impl RandomForestClassifier {
         self.trees.len()
     }
 
+    /// Total node count across trees (store weight accounting).
+    pub fn n_nodes(&self) -> usize {
+        self.flats().iter().map(|t| t.n_nodes()).sum()
+    }
+
     /// The fitted trees' flat layouts, in tree order.
     fn flats(&self) -> Vec<&FlatTree> {
         self.trees
@@ -411,7 +425,7 @@ impl RandomForestClassifier {
             Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
             Trainer::Presorted => None,
         };
-        let fitted = fit_trees(x.n_rows(), &self.config, |seed, sample| {
+        let train = |seed, sample: &[usize]| {
             let mut cfg = tree_config.clone();
             cfg.seed = seed;
             match &binned {
@@ -425,19 +439,20 @@ impl RandomForestClassifier {
                     Ok(t)
                 }
             }
-        })?;
+        };
+        let fitted = fit_trees(x, &self.config, train, DecisionTreeClassifier::flat)?;
 
-        // OOB vote accumulation, walking each flat tree unchecked (row
-        // widths come straight from `x`).
+        // OOB vote accumulation, in tree order, from the leaves the tree
+        // workers found.
         let mut prob_sum = vec![0.0f64; x.n_rows()];
         let mut votes = vec![0u32; x.n_rows()];
         let mut trees = Vec::with_capacity(fitted.len());
         let mut per_tree_imp = Vec::with_capacity(fitted.len());
         for (t, oob) in fitted {
             let flat = t.flat().ok_or(LearnError::NotFitted)?;
-            for &i in &oob {
-                prob_sum[i] += flat.traverse(x.row(i));
-                votes[i] += 1;
+            for &(i, leaf) in &oob {
+                prob_sum[i as usize] += flat.leaf_value(leaf as usize);
+                votes[i as usize] += 1;
             }
             per_tree_imp.push(t.feature_importances()?);
             trees.push(t);
@@ -575,6 +590,11 @@ impl RandomForestRegressor {
         self.trees.len()
     }
 
+    /// Total node count across trees (store weight accounting).
+    pub fn n_nodes(&self) -> usize {
+        self.flats().iter().map(|t| t.n_nodes()).sum()
+    }
+
     /// The fitted trees' flat layouts, in tree order.
     fn flats(&self) -> Vec<&FlatTree> {
         self.trees
@@ -605,7 +625,7 @@ impl RandomForestRegressor {
             Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
             Trainer::Presorted => None,
         };
-        let fitted = fit_trees(x.n_rows(), &self.config, |seed, sample| {
+        let train = |seed, sample: &[usize]| {
             let mut cfg = tree_config.clone();
             cfg.seed = seed;
             match &binned {
@@ -619,7 +639,8 @@ impl RandomForestRegressor {
                     Ok(t)
                 }
             }
-        })?;
+        };
+        let fitted = fit_trees(x, &self.config, train, DecisionTreeRegressor::flat)?;
 
         let mut pred_sum = vec![0.0f64; x.n_rows()];
         let mut votes = vec![0u32; x.n_rows()];
@@ -627,9 +648,9 @@ impl RandomForestRegressor {
         let mut per_tree_imp = Vec::with_capacity(fitted.len());
         for (t, oob) in fitted {
             let flat = t.flat().ok_or(LearnError::NotFitted)?;
-            for &i in &oob {
-                pred_sum[i] += flat.traverse(x.row(i));
-                votes[i] += 1;
+            for &(i, leaf) in &oob {
+                pred_sum[i as usize] += flat.leaf_value(leaf as usize);
+                votes[i as usize] += 1;
             }
             per_tree_imp.push(t.feature_importances()?);
             trees.push(t);

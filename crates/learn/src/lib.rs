@@ -26,6 +26,11 @@
 //!   bit-identical to the seed CART, which the test suite keeps as an
 //!   oracle (see `docs/FOREST.md`). Forest training is parallelized
 //!   with std scoped threads.
+//! * [`delta`] — delta prediction for views that move one driver: a
+//!   per-model [`delta::LeafTable`] of training-matrix leaves, walking
+//!   only the (row, tree) pairs a move can change.
+//! * [`pool`] — the parked worker threads every prediction fan-out
+//!   runs on.
 //! * [`binned`] — the histogram-binned training tier
 //!   ([`tree::Trainer::Binned`]): per-forest ≤256-bucket quantile
 //!   quantization, O(bins) split scans over per-node histograms, and
@@ -50,6 +55,7 @@ pub mod logistic;
 pub mod metrics;
 pub mod model;
 pub mod overlay;
+pub mod pool;
 pub mod shapley;
 pub mod split;
 pub mod tree;

@@ -181,7 +181,9 @@ pub trait Predictor: Send + Sync {
     /// [`crate::delta`]). The default, and any other overlay or a
     /// table of another shape, scores through `predict_batch`.
     /// `table` must come from this model's [`Predictor::leaf_table`]
-    /// on `x.base()`.
+    /// on `x.base()`. The table also keeps the leaves of its last
+    /// one-driver view for the next one, so a call that breaks this
+    /// can spoil later calls on the same table too.
     ///
     /// # Errors
     /// [`LearnError::Shape`] on column-count or output-length mismatch.

@@ -361,60 +361,80 @@ impl FlatTree {
         }
     }
 
-    /// For every leaf, the interval of feature `j` that keeps a walk on
-    /// that leaf when no other feature changes, written to `iv[leaf]`
-    /// as `(lo, hi)`; a non-NaN value `x` stays on the leaf exactly
-    /// when `lo < x && x <= hi`.
+    /// Append this tree's internal nodes to `nodes`, grouped by the
+    /// feature they test — feature 0's group first — with each group in
+    /// pre-order, and push the end of every group (an index into
+    /// `nodes`) onto `ends`: one end per feature. The caller has checked
+    /// that every node index fits a `u16` and every end a `u32`.
+    pub(crate) fn index_tests(&self, nodes: &mut Vec<u16>, ends: &mut Vec<u32>) {
+        let (meta, _) = self.nodes();
+        let base = nodes.len();
+        // `next[f]` counts feature `f - 1`'s tests, then becomes the
+        // start of feature `f`'s group and the cursor that fills it.
+        let mut next = vec![0usize; self.n_features + 1];
+        for &m in meta.iter().filter(|&&m| m as u32 != LEAF) {
+            next[(m as u32) as usize + 1] += 1;
+        }
+        for f in 0..self.n_features {
+            next[f + 1] += next[f];
+        }
+        ends.extend(next[1..].iter().map(|&end| (base + end) as u32));
+        nodes.resize(base + next[self.n_features], 0);
+        for (i, &m) in meta.iter().enumerate().filter(|(_, &m)| m as u32 != LEAF) {
+            let f = (m as u32) as usize;
+            nodes[base + next[f]] = i as u16;
+            next[f] += 1;
+        }
+    }
+
+    /// For every node, the interval of feature `j` that keeps a walk on
+    /// its way to the node when no other feature changes, written to
+    /// `lo[node]` and `hi[node]`; a non-NaN value `x` follows the path
+    /// to the node at every test of `j` exactly when `lo < x && x <= hi`.
+    /// `tests` lists this tree's internal nodes that test `j`
+    /// ([`Self::index_tests`]); `lo` and `hi` need a slot per node.
     ///
     /// Only a node that tests `j` can route two such rows apart, so a
-    /// leaf's interval is fixed by the tests of `j` on its path: `hi`
-    /// is the smallest threshold where the path goes left (the walk
-    /// took `x <= t`), `lo` the largest where it goes right (it took
+    /// node's interval is fixed by the tests of `j` above it: `hi` is
+    /// the smallest threshold where the path goes left (the walk took
+    /// `x <= t`), `lo` the largest where it goes right (it took
     /// `!(x <= t)`, i.e. `x > t` for a non-NaN `x`), and −∞ / +∞ when
     /// there is none. A NaN threshold on a test of `j` sets `lo` to +∞
     /// for everything below it, so those leaves always walk. A NaN `x`
     /// fails `lo < x` and always walks too.
     ///
-    /// One pass over the pre-order arrays does it: a node's interval
-    /// is its parent's, tightened when the parent tests `j`. The left
-    /// child is the next node; the right child's interval waits on
-    /// `stack` until the left subtree's last leaf, which is exactly
-    /// when pre-order reaches it. Pop or push is a select of the stack
-    /// index, not a branch on "is this a leaf". `iv` needs a slot per
-    /// node (internal nodes' slots are scratch); `stack` is scratch.
-    pub(crate) fn leaf_intervals(
-        &self,
-        j: usize,
-        iv: &mut [(f64, f64)],
-        stack: &mut Vec<(f64, f64)>,
-    ) {
+    /// Pre-order makes each of those a range update: every slot starts
+    /// at (−∞, +∞), and a test of `j` at node `i` with threshold `t` and
+    /// right child `r` applies `hi = min(hi, t)` over its left subtree
+    /// `[i + 1, r)` and `lo = max(lo, t)` over its right subtree
+    /// `[r, e)`, where `e` is one past the leaf reached by following
+    /// right children from `r`. `min` and `max` commute, so the order
+    /// of `tests` does not matter, and on a tie between ±0 they may keep
+    /// either, which the check's `<` and `<=` do not tell apart.
+    pub(crate) fn intervals(&self, tests: &[u16], lo: &mut [f64], hi: &mut [f64]) {
         let (meta, thresh) = self.nodes();
-        let iv = &mut iv[..meta.len()];
-        // `stack[..sp]` holds the pending right children, at most one
-        // per level, above a sentinel the last leaf pops; `stack[sp]`
-        // takes the next push and `stack[sp + 1]` the left child, so
-        // the next node's interval is `stack[sp - 1]` after a leaf and
-        // `stack[sp + 1]` after a split, an index picked by a select.
-        stack.clear();
-        stack.resize(self.depth + 3, (f64::INFINITY, f64::INFINITY));
-        let mut sp = 1usize;
-        let mut cur = (f64::NEG_INFINITY, f64::INFINITY);
-        for ((&m, &t), slot) in meta.iter().zip(thresh).zip(iv.iter_mut()) {
-            *slot = cur;
-            let (lo, hi) = cur;
-            let tests_j = (m as u32) as usize == j;
-            let dead = tests_j && t.is_nan();
-            let left_hi = if tests_j { hi.min(t) } else { hi };
-            let right_lo = if tests_j { lo.max(t) } else { lo };
-            let (left_lo, right_lo) = if dead {
-                (f64::INFINITY, f64::INFINITY)
-            } else {
-                (lo, right_lo)
-            };
-            stack[sp] = (right_lo, hi);
-            stack[sp + 1] = (left_lo, left_hi);
-            sp = select_unpredictable(m as u32 == LEAF, sp - 1, sp + 1);
-            cur = stack[sp];
+        let (lo, hi) = (&mut lo[..meta.len()], &mut hi[..meta.len()]);
+        lo.fill(f64::NEG_INFINITY);
+        hi.fill(f64::INFINITY);
+        let right = |i: usize| (meta[i] >> 32) as usize;
+        for &i in tests {
+            let i = usize::from(i);
+            let t = thresh[i];
+            let r = right(i);
+            let mut last = r;
+            while meta[last] as u32 != LEAF {
+                last = right(last);
+            }
+            if t.is_nan() {
+                lo[i + 1..=last].fill(f64::INFINITY);
+                continue;
+            }
+            for h in &mut hi[i + 1..r] {
+                *h = h.min(t);
+            }
+            for l in &mut lo[r..=last] {
+                *l = l.max(t);
+            }
         }
     }
 
@@ -1622,5 +1642,97 @@ mod tests {
         t.fit(&Matrix::from_rows(&rows).unwrap(), &y).unwrap();
         assert_eq!(t.depth().unwrap(), 0);
         assert!((t.predict_row(&[1.0]).unwrap() - 0.5).abs() < 1e-9);
+    }
+
+    /// Every node's interval on feature `j`, from the root down: a
+    /// child inherits its parent's, tightened when the parent tests `j`.
+    fn path_intervals(tree: &FlatTree, j: usize) -> Vec<(f64, f64)> {
+        let mut want = vec![(f64::NAN, f64::NAN); tree.n_nodes()];
+        let mut stack = vec![(0usize, f64::NEG_INFINITY, f64::INFINITY)];
+        while let Some((i, lo, hi)) = stack.pop() {
+            want[i] = (lo, hi);
+            let m = tree.meta[i];
+            if m as u32 == LEAF {
+                continue;
+            }
+            let (t, right) = (tree.thresh[i], (m >> 32) as usize);
+            let ((llo, lhi), (rlo, rhi)) = if (m as u32) as usize != j {
+                ((lo, hi), (lo, hi))
+            } else if t.is_nan() {
+                ((f64::INFINITY, hi), (f64::INFINITY, hi))
+            } else {
+                ((lo, hi.min(t)), (lo.max(t), hi))
+            };
+            stack.push((i + 1, llo, lhi));
+            stack.push((right, rlo, rhi));
+        }
+        want
+    }
+
+    /// The feature index lists exactly the nodes that test each feature,
+    /// in pre-order, and the range updates it drives give every node —
+    /// internal nodes included — the interval of its path from the root.
+    fn assert_indexed_intervals_follow_the_paths(tree: &FlatTree) {
+        let mut nodes = Vec::new();
+        let mut ends = vec![0u32];
+        tree.index_tests(&mut nodes, &mut ends);
+        assert_eq!(ends.len(), tree.n_features() + 1);
+        let (mut lo, mut hi) = (vec![0.0; tree.n_nodes()], vec![0.0; tree.n_nodes()]);
+        for j in 0..tree.n_features() {
+            let tests = &nodes[ends[j] as usize..ends[j + 1] as usize];
+            let want: Vec<u16> = (0..tree.n_nodes())
+                .filter(|&i| tree.meta[i] as u32 == j as u32)
+                .map(|i| i as u16)
+                .collect();
+            assert_eq!(tests, &want[..], "feature {j}");
+            tree.intervals(tests, &mut lo, &mut hi);
+            for (i, &(l, h)) in path_intervals(tree, j).iter().enumerate() {
+                // `==`: ±0 may come out either way, as the check allows.
+                assert!(lo[i] == l && hi[i] == h, "feature {j}, node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_intervals_match_the_path_to_every_node() {
+        // Two features and deep trees, so a path tests each many times.
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|i| vec![((i * 37) % 101) as f64 / 8.0, ((i * 11) % 23) as f64 - 11.0])
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| (r[0] * r[1]).sin()).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        for seed in 0..4 {
+            let mut t = DecisionTreeRegressor::new(TreeConfig {
+                max_depth: 14,
+                max_features: Some(1),
+                seed,
+                ..TreeConfig::default()
+            });
+            t.fit(&x, &y).unwrap();
+            assert_indexed_intervals_follow_the_paths(t.flat().unwrap());
+        }
+        // A hand-built tree with a NaN threshold above tests of both
+        // features: node 0 sends x0 <= 1 to node 1 (x1 <= NaN), whose
+        // left subtree splits on x0 at 0.5 and then on x1 at 0; the
+        // root's right subtree splits on x0 at 3.
+        let meta = vec![
+            8u64 << 32,
+            (7u64 << 32) | 1,
+            4u64 << 32,
+            leaf_meta(3),
+            (6u64 << 32) | 1,
+            leaf_meta(5),
+            leaf_meta(6),
+            leaf_meta(7),
+            10u64 << 32,
+            leaf_meta(9),
+            leaf_meta(10),
+        ];
+        let mut thresh = vec![1.0, f64::NAN, 0.5, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0];
+        let tree = FlatTree::from_parts(meta.clone(), thresh.clone(), 2, vec![0.0; 2], 4);
+        assert_indexed_intervals_follow_the_paths(&tree);
+        thresh[0] = f64::NAN;
+        let tree = FlatTree::from_parts(meta, thresh, 2, vec![0.0; 2], 4);
+        assert_indexed_intervals_follow_the_paths(&tree);
     }
 }

@@ -198,6 +198,51 @@ fn delta_agrees_with_full_kernel(model: &dyn Predictor, x: &Matrix, j: usize, pc
     }
 }
 
+/// One view of a random drag script: the driver it moves and the
+/// values that replace that driver's column. `step` is `(driver, kind,
+/// amount)`; `drag` is the running (driver, percentage) of the slider,
+/// which kinds 0 and 1 carry on monotonically.
+fn drag_view(
+    x: &Matrix,
+    step: (usize, usize, f64),
+    drag: &mut (usize, f64),
+    k: usize,
+) -> (usize, Vec<f64>) {
+    let (driver, kind, amount) = step;
+    let base = |j: usize| (0..x.n_rows()).map(move |i| x.get(i, j));
+    match kind {
+        // The drag goes on, up or down, on the same driver.
+        0 | 1 => drag.1 += if kind == 0 { 0.15 } else { -0.15 },
+        // A switch to another driver, at any percentage or at 0 %.
+        2 => *drag = (driver, amount),
+        3 => *drag = (driver, 0.0),
+        _ => drag.0 = driver,
+    }
+    let (j, pct) = *drag;
+    let moved = match kind {
+        // NaN, ±∞ and ±0 cells among scaled ones.
+        4 => base(j)
+            .enumerate()
+            .map(|(i, v)| match (i + k) % 6 {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.0,
+                4 => -0.0,
+                _ => v * (1.0 + pct),
+            })
+            .collect(),
+        // Cells on the 1/8 grid, where the split thresholds sit.
+        5 => (0..x.n_rows())
+            .map(|i| ((i * 7 + k * 13) % 240) as f64 / 8.0 - 14.0)
+            .collect(),
+        // Every row onto one grid value.
+        6 => vec![(amount * 8.0).round() / 8.0; x.n_rows()],
+        _ => base(j).map(|v| v * (1.0 + pct)).collect(),
+    };
+    (j, moved)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -390,6 +435,65 @@ proptest! {
         models.push(Box::new(gc));
         for model in &models {
             delta_agrees_with_full_kernel(model.as_ref(), &x, column, pct, seed);
+        }
+    }
+
+    // The drag memo: a random script of one-driver views on one model
+    // and one leaf table — monotone drags up and down, driver switches,
+    // 0 % stops, NaN, ±∞ and ±0 cells, and values on the threshold grid
+    // — scores every view bit for bit like the full kernel, for an exact
+    // and a binned forest and a GBDT, at 1, 2 and unbounded threads.
+    #[test]
+    fn memo_views_in_any_order_equal_the_full_kernel(
+        seed in 0u64..1000,
+        n_rows in 30usize..300,
+        n_trees in 1usize..20,
+        max_depth in 1usize..20,
+        threads_flag in 0usize..3,
+        script in prop::collection::vec((0usize..FEATURES, 0usize..8, -1.0f64..1.5), 4..30),
+    ) {
+        let threads = [1, 2, usize::MAX][threads_flag];
+        let (x, labels, y) = training_data_with_zero_split(seed, n_rows);
+        let forest = |trainer| ForestConfig {
+            n_trees,
+            tree: tree_config(max_depth, 1, None, 0),
+            seed,
+            n_threads: threads,
+            trainer,
+            ..ForestConfig::default()
+        };
+        let mut exact = RandomForestClassifier::new(forest(Trainer::Presorted));
+        exact.fit(&x, &labels).unwrap();
+        let mut binned = RandomForestRegressor::new(forest(Trainer::Binned));
+        binned.fit(&x, &y).unwrap();
+        let mut gbdt = GbdtRegressor::new(GbdtConfig {
+            n_rounds: n_trees,
+            max_depth: max_depth.min(8),
+            holdout_fraction: 0.0,
+            seed,
+            n_threads: threads,
+            ..GbdtConfig::default()
+        });
+        gbdt.fit(&x, &y).unwrap();
+        let models: [&dyn Predictor; 3] = [&exact, &binned, &gbdt];
+        for model in models {
+            let table = model.leaf_table(&x).expect("tree ensembles build a table");
+            let mut drag = (0, 0.0);
+            for (k, &step) in script.iter().enumerate() {
+                let (j, moved) = drag_view(&x, step, &mut drag, k);
+                let mut overlay = ColumnOverlay::new(&x);
+                overlay.set_col(j, moved).unwrap();
+                let mut full = vec![0.0; x.n_rows()];
+                let mut delta = vec![0.0; x.n_rows()];
+                model.predict_batch((&overlay).into(), &mut full).unwrap();
+                model.predict_delta(&table, &overlay, &mut delta).unwrap();
+                for (i, (a, b)) in full.iter().zip(&delta).enumerate() {
+                    prop_assert!(
+                        a.to_bits() == b.to_bits(),
+                        "view {} (driver {}), row {}: full {}, delta {}", k, j, i, a, b
+                    );
+                }
+            }
         }
     }
 
