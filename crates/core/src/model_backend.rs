@@ -21,7 +21,7 @@ use crate::perturbation::{PerturbationPlan, PerturbationSet};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use whatif_cache::{CacheWeight, Fingerprint, Hasher128};
-use whatif_learn::forest::ForestConfig;
+use whatif_learn::forest::{batch_threads, ForestConfig};
 use whatif_learn::metrics::{accuracy, r2_score, roc_auc};
 use whatif_learn::model::{Classifier, Predictor, Regressor};
 use whatif_learn::split::train_test_split;
@@ -88,7 +88,10 @@ pub struct ModelConfig {
     /// condition on more drivers jointly, which raises the forest's
     /// prediction ceiling in high-activity regions.
     pub max_features: Option<usize>,
-    /// Worker threads for forest training.
+    /// Worker threads of the tree families: forest training, and the
+    /// row fan-out of forest and GBDT prediction (see
+    /// [`TrainedModel::batch_predict_is_parallel`]). Capped by
+    /// [`whatif_learn::forest::worker_count`]; never changes a result.
     pub n_threads: usize,
     /// Held-out fraction used to estimate the model confidence shown in
     /// the Goal Inversion view; `0` scores on training data instead.
@@ -165,14 +168,23 @@ impl ModelConfig {
 /// matrix, targets, and fitted parameters.
 pub type SharedModel = std::sync::Arc<TrainedModel>;
 
-/// The fitted model behind a [`TrainedModel`].
+/// The fitted model behind a [`TrainedModel`]. A tree ensemble (forest
+/// or GBDT, of either KPI kind; the model's `resolved_kind` and
+/// `kpi_kind` say which) is known only through its [`Predictor`] and
+/// the shape the store charges for.
 enum FittedModel {
     Linear(LinearRegression),
     Logistic(LogisticRegression),
-    ForestClassifier(RandomForestClassifier),
-    ForestRegressor(RandomForestRegressor),
-    GbdtClassifier(GbdtClassifier),
-    GbdtRegressor(GbdtRegressor),
+    Trees {
+        model: Box<dyn Predictor>,
+        n_trees: usize,
+        /// Nodes across the trees.
+        n_nodes: usize,
+        /// The ensemble's worker threads ([`ModelConfig::n_threads`]).
+        n_threads: usize,
+        /// Normalized impurity importances.
+        importances: Vec<f64>,
+    },
 }
 
 impl FittedModel {
@@ -180,22 +192,7 @@ impl FittedModel {
         match self {
             FittedModel::Linear(m) => m,
             FittedModel::Logistic(m) => m,
-            FittedModel::ForestClassifier(m) => m,
-            FittedModel::ForestRegressor(m) => m,
-            FittedModel::GbdtClassifier(m) => m,
-            FittedModel::GbdtRegressor(m) => m,
-        }
-    }
-
-    /// Trees in the ensemble and nodes across them; `None` for the
-    /// linear families.
-    fn tree_shape(&self) -> Option<(usize, usize)> {
-        match self {
-            FittedModel::Linear(_) | FittedModel::Logistic(_) => None,
-            FittedModel::ForestClassifier(m) => Some((m.n_trees(), m.n_nodes())),
-            FittedModel::ForestRegressor(m) => Some((m.n_trees(), m.n_nodes())),
-            FittedModel::GbdtClassifier(m) => Some((m.n_trees(), m.n_nodes())),
-            FittedModel::GbdtRegressor(m) => Some((m.n_trees(), m.n_nodes())),
+            FittedModel::Trees { model, .. } => model.as_ref(),
         }
     }
 }
@@ -450,15 +447,12 @@ impl TrainedModel {
     /// fan-out: scenario-level workers for cheap per-call models,
     /// row-level workers inside the model otherwise.
     pub fn batch_predict_is_parallel(&self) -> bool {
-        use whatif_learn::forest::PARALLEL_BATCH_MIN_WORK;
-        let (n_trees, n_threads) = match &self.model {
-            FittedModel::ForestClassifier(m) => (m.n_trees(), m.config.n_threads),
-            FittedModel::ForestRegressor(m) => (m.n_trees(), m.config.n_threads),
-            FittedModel::GbdtClassifier(m) => (m.n_trees(), m.config.n_threads),
-            FittedModel::GbdtRegressor(m) => (m.n_trees(), m.config.n_threads),
-            FittedModel::Linear(_) | FittedModel::Logistic(_) => return false,
-        };
-        n_threads > 1 && self.x.n_rows().saturating_mul(n_trees) >= PARALLEL_BATCH_MIN_WORK
+        match self.model {
+            FittedModel::Trees {
+                n_trees, n_threads, ..
+            } => batch_threads(n_threads, self.x.n_rows(), n_trees) > 1,
+            FittedModel::Linear(_) | FittedModel::Logistic(_) => false,
+        }
     }
 
     /// Compile a perturbation set against this model's drivers.
@@ -500,16 +494,7 @@ impl TrainedModel {
         match &self.model {
             FittedModel::Linear(m) => Ok(m.standardized_coefficients()?.to_vec()),
             FittedModel::Logistic(m) => Ok(m.standardized_coefficients()?.to_vec()),
-            FittedModel::ForestClassifier(m) => {
-                Ok(self.sign_by_correlation(m.feature_importances()?))
-            }
-            FittedModel::ForestRegressor(m) => {
-                Ok(self.sign_by_correlation(m.feature_importances()?))
-            }
-            FittedModel::GbdtClassifier(m) => {
-                Ok(self.sign_by_correlation(m.feature_importances()?))
-            }
-            FittedModel::GbdtRegressor(m) => Ok(self.sign_by_correlation(m.feature_importances()?)),
+            FittedModel::Trees { importances, .. } => Ok(self.sign_by_correlation(importances)),
         }
     }
 
@@ -660,20 +645,24 @@ impl CacheWeight for TrainedModel {
             .iter()
             .map(|n| n.len() + std::mem::size_of::<String>())
             .sum();
-        let fitted = match &self.model {
+        let (rows, cols) = (self.x.n_rows(), self.x.n_cols());
+        let fitted = match self.model {
             FittedModel::Linear(_) | FittedModel::Logistic(_) => {
-                (self.x.n_cols() + 1) * 8 + std::mem::size_of::<FittedModel>()
+                (cols + 1) * 8 + std::mem::size_of::<FittedModel>()
             }
-            FittedModel::ForestClassifier(m) => forest_bytes(m.n_trees(), self.x.n_rows()),
-            FittedModel::ForestRegressor(m) => forest_bytes(m.n_trees(), self.x.n_rows()),
-            // GBDT trees are depth-capped and expose exact node counts.
-            FittedModel::GbdtClassifier(m) => m.n_nodes() * 24,
-            FittedModel::GbdtRegressor(m) => m.n_nodes() * 24,
+            FittedModel::Trees {
+                n_trees, n_nodes, ..
+            } => {
+                let trees = match self.resolved_kind {
+                    // GBDT trees are depth-capped; charge their exact
+                    // node counts.
+                    ModelKind::Gbdt => n_nodes * 24,
+                    _ => forest_bytes(n_trees, rows),
+                };
+                trees + LeafTable::bytes_for(rows, n_trees, n_nodes, cols)
+            }
         };
-        let leaf_table = self.model.tree_shape().map_or(0, |(trees, nodes)| {
-            LeafTable::bytes_for(self.x.n_rows(), trees, nodes, self.x.n_cols())
-        });
-        data + names + fitted + leaf_table + self.kpi_name.len()
+        data + names + fitted + self.kpi_name.len()
     }
 }
 
@@ -735,21 +724,14 @@ fn compute_fingerprint(
             h.write_f64(m.intercept().unwrap_or(f64::NAN));
             h.write_f64s(m.coefficients().unwrap_or(&[]));
         }
-        FittedModel::ForestClassifier(m) => {
-            h.write_u8(3);
-            h.write_usize(m.n_trees());
-        }
-        FittedModel::ForestRegressor(m) => {
-            h.write_u8(4);
-            h.write_usize(m.n_trees());
-        }
-        FittedModel::GbdtClassifier(m) => {
-            h.write_u8(5);
-            h.write_usize(m.n_trees());
-        }
-        FittedModel::GbdtRegressor(m) => {
-            h.write_u8(6);
-            h.write_usize(m.n_trees());
+        FittedModel::Trees { n_trees, .. } => {
+            h.write_u8(match (resolved, kpi_kind) {
+                (ModelKind::Gbdt, KpiKind::Binary) => 5,
+                (ModelKind::Gbdt, KpiKind::Continuous) => 6,
+                (_, KpiKind::Binary) => 3,
+                (_, KpiKind::Continuous) => 4,
+            });
+            h.write_usize(*n_trees);
         }
     }
     h.write_f64s(train_preds);
@@ -788,6 +770,7 @@ fn fit_one(
     y: &[f64],
     config: &ModelConfig,
 ) -> Result<FittedModel> {
+    let labels = || -> Vec<u8> { y.iter().map(|&v| u8::from(v >= 0.5)).collect() };
     Ok(match (kind, kpi_kind) {
         (ModelKind::Linear, _) => {
             let mut m = LinearRegression::new();
@@ -795,36 +778,52 @@ fn fit_one(
             FittedModel::Linear(m)
         }
         (ModelKind::Logistic, _) => {
-            let labels: Vec<u8> = y.iter().map(|&v| u8::from(v >= 0.5)).collect();
             let mut m = LogisticRegression::new().with_alpha(1e-3);
-            m.fit(x, &labels)?;
+            m.fit(x, &labels())?;
             FittedModel::Logistic(m)
         }
         (ModelKind::RandomForest, KpiKind::Binary) => {
-            let labels: Vec<u8> = y.iter().map(|&v| u8::from(v >= 0.5)).collect();
             let mut m = RandomForestClassifier::new(config.forest_config(1));
-            m.fit(x, &labels)?;
-            FittedModel::ForestClassifier(m)
+            m.fit(x, &labels())?;
+            let importances = m.feature_importances()?.to_vec();
+            trees((m.n_trees(), m.n_nodes(), importances), m, config)
         }
         (ModelKind::RandomForest, KpiKind::Continuous) => {
             let mut m = RandomForestRegressor::new(config.forest_config(2));
             m.fit(x, y)?;
-            FittedModel::ForestRegressor(m)
+            let importances = m.feature_importances()?.to_vec();
+            trees((m.n_trees(), m.n_nodes(), importances), m, config)
         }
         (ModelKind::Gbdt, KpiKind::Binary) => {
-            let labels: Vec<u8> = y.iter().map(|&v| u8::from(v >= 0.5)).collect();
             let mut m = GbdtClassifier::new(config.gbdt_config(3));
-            m.fit(x, &labels)?;
-            FittedModel::GbdtClassifier(m)
+            m.fit(x, &labels())?;
+            let importances = m.feature_importances()?.to_vec();
+            trees((m.n_trees(), m.n_nodes(), importances), m, config)
         }
         (ModelKind::Gbdt, KpiKind::Continuous) => {
             let mut m = GbdtRegressor::new(config.gbdt_config(4));
             m.fit(x, y)?;
-            FittedModel::GbdtRegressor(m)
+            let importances = m.feature_importances()?.to_vec();
+            trees((m.n_trees(), m.n_nodes(), importances), m, config)
         }
         // lint:allow(panic-freedom): resolve_kind replaced Auto before this match; reaching it is a bug
         (ModelKind::Auto, _) => unreachable!("Auto resolved before fit_one"),
     })
+}
+
+/// A fitted tree ensemble of `n_trees` trees and `n_nodes` nodes.
+fn trees(
+    (n_trees, n_nodes, importances): (usize, usize, Vec<f64>),
+    model: impl Predictor + 'static,
+    config: &ModelConfig,
+) -> FittedModel {
+    FittedModel::Trees {
+        n_trees,
+        n_nodes,
+        n_threads: config.n_threads,
+        importances,
+        model: Box::new(model),
+    }
 }
 
 #[cfg(test)]
@@ -1202,22 +1201,25 @@ mod tests {
         let table = |trees: usize, nodes: usize| {
             rows * trees * 2 * 2 + (nodes - trees) / 2 * 2 + (trees * x.n_cols() + 1) * 4
         };
-        let forest = fit(ModelKind::RandomForest);
-        let FittedModel::ForestClassifier(f) = &forest.model else {
-            panic!("a forest model")
+        let shape = |m: &TrainedModel| match m.model {
+            FittedModel::Trees {
+                n_trees, n_nodes, ..
+            } => (n_trees, n_nodes),
+            _ => panic!("a tree ensemble"),
         };
-        let forest_table = table(20, f.n_nodes());
+        let forest = fit(ModelKind::RandomForest);
+        let (n_trees, n_nodes) = shape(&forest);
+        assert_eq!(n_trees, 20);
+        let forest_table = table(20, n_nodes);
         assert_eq!(
             forest.weight_bytes(),
             floor + forest_bytes(20, rows) + forest_table
         );
         let gbdt = fit(ModelKind::Gbdt);
-        let FittedModel::GbdtClassifier(g) = &gbdt.model else {
-            panic!("a GBDT model")
-        };
+        let (n_trees, n_nodes) = shape(&gbdt);
         assert_eq!(
             gbdt.weight_bytes(),
-            floor + g.n_nodes() * 24 + table(g.n_trees(), g.n_nodes())
+            floor + n_nodes * 24 + table(n_trees, n_nodes)
         );
         // The charge covers the table that gets built, memo included,
         // and neither building it nor a drag that fills the memo

@@ -29,23 +29,28 @@
 //! within ε of exact — see `tests/binned_accuracy.rs`), not
 //! equivalence.
 //!
-//! The same machinery powers [`GbdtRegressor`] / [`GbdtClassifier`]:
-//! sequential shallow binned trees fit to residuals (least squares) or
-//! logistic gradients, with shrinkage and early stopping on an internal
-//! holdout. Fitted rounds are ordinary `FlatTree`s, so the tree-major
-//! batched prediction path — and everything stacked on it (overlays,
-//! caches, wire protocols) — works unchanged.
+//! The same machinery powers [`Gbdt`] ([`GbdtRegressor`] /
+//! [`GbdtClassifier`]): sequential shallow binned trees fit to residuals
+//! (least squares) or logistic gradients, with shrinkage and early
+//! stopping on an internal holdout. Fitted rounds are ordinary
+//! `FlatTree`s in the forests' `Ensemble`, so the tree-major batched
+//! prediction path — and everything stacked on it (overlays, delta
+//! views, caches, wire protocols) — works unchanged.
 
-use crate::delta::{predict_delta_flats, LeafTable};
-use crate::forest::predict_batch_flats;
+use crate::delta::LeafTable;
+use crate::forest::{Ensemble, Link};
 use crate::linalg::Matrix;
-use crate::model::{check_binary_labels, Classifier, LearnError, MatrixView, Predictor, Regressor};
+use crate::model::{
+    binary_targets, check_targets, Binary, Classifier, Continuous, LearnError, MatrixView,
+    Predictor, Regressor,
+};
 use crate::overlay::ColumnOverlay;
 use crate::split::train_test_split;
 use crate::tree::{
-    check_no_nan_features, entry_class, leaf_meta, Criterion, FlatTree, FullPresort, Mse,
-    TreeConfig,
+    check_no_nan_features, entry_class, leaf_meta, normalize, Criterion, FlatTree, FullPresort,
+    Mse, TreeConfig,
 };
+use core::marker::PhantomData;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use whatif_stats::quantile_run_bins;
@@ -465,7 +470,8 @@ impl Default for GbdtConfig {
     }
 }
 
-fn sigmoid(z: f64) -> f64 {
+/// The logistic function, the GBDT classifier's link.
+pub(crate) fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
@@ -484,12 +490,7 @@ fn fit_gbdt(
     if n == 0 {
         return Err(LearnError::Invalid("cannot fit on zero rows".to_owned()));
     }
-    if y.len() != n {
-        return Err(LearnError::Shape(format!(
-            "{} targets for {n} rows",
-            y.len()
-        )));
-    }
+    check_targets(x, y)?;
     if cfg.n_rounds == 0 {
         return Err(LearnError::Invalid(
             "gbdt needs at least one round".to_owned(),
@@ -592,58 +593,47 @@ fn fit_gbdt(
     Ok((trees, base))
 }
 
-/// Sum per-tree impurity-decrease importances over the kept rounds and
-/// normalize to sum 1 (matching the forests' importance contract).
-fn summed_importances(trees: &[FlatTree], p: usize) -> Vec<f64> {
-    let mut total = vec![0.0; p];
-    for t in trees {
-        for (a, v) in total.iter_mut().zip(t.importances()) {
-            *a += v;
-        }
-    }
-    let sum: f64 = total.iter().sum();
-    if sum > 0.0 {
-        for a in total.iter_mut() {
-            *a /= sum;
-        }
-    }
-    total
-}
-
-/// A gradient-boosted regression ensemble over histogram-binned trees.
-/// Predictions are `base + Σ leaf` (shrinkage baked into the leaves).
+/// A gradient-boosted ensemble over histogram-binned trees for KPI kind
+/// `K`. For [`Continuous`] ([`GbdtRegressor`]) it fits least squares and
+/// predicts `base + Σ leaf`; for [`Binary`] ([`GbdtClassifier`]) it fits
+/// the logistic loss and predicts `sigmoid(base + Σ leaf)`, the class-1
+/// probability. Shrinkage is baked into the leaves.
 #[derive(Debug, Clone)]
-pub struct GbdtRegressor {
+pub struct Gbdt<K> {
     /// Boosting hyperparameters.
     pub config: GbdtConfig,
-    trees: Vec<FlatTree>,
-    base: f64,
-    n_features: usize,
+    ensemble: Ensemble,
     importances: Vec<f64>,
+    kind: PhantomData<fn() -> K>,
 }
 
-impl Default for GbdtRegressor {
+/// A gradient-boosted regression ensemble.
+pub type GbdtRegressor = Gbdt<Continuous>;
+
+/// A gradient-boosted binary classifier (logistic loss).
+pub type GbdtClassifier = Gbdt<Binary>;
+
+impl<K> Default for Gbdt<K> {
     fn default() -> Self {
-        GbdtRegressor::new(GbdtConfig::default())
+        Gbdt::new(GbdtConfig::default())
     }
 }
 
-impl GbdtRegressor {
+impl<K> Gbdt<K> {
     /// Ensemble with the given hyperparameters.
     pub fn new(config: GbdtConfig) -> Self {
-        GbdtRegressor {
+        Gbdt {
             config,
-            trees: Vec::new(),
-            base: 0.0,
-            n_features: 0,
+            ensemble: Ensemble::default(),
             importances: Vec::new(),
+            kind: PhantomData,
         }
     }
 
     /// Number of kept boosting rounds (≤ `config.n_rounds` when early
     /// stopping trims the tail).
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.ensemble.trees.len()
     }
 
     /// Normalized impurity feature importances summed over rounds.
@@ -651,7 +641,7 @@ impl GbdtRegressor {
     /// # Errors
     /// [`LearnError::NotFitted`] before fit.
     pub fn feature_importances(&self) -> Result<&[f64], LearnError> {
-        if self.trees.is_empty() {
+        if self.ensemble.trees.is_empty() {
             return Err(LearnError::NotFitted);
         }
         Ok(&self.importances)
@@ -659,164 +649,66 @@ impl GbdtRegressor {
 
     /// Total node count across rounds (store weight accounting).
     pub fn n_nodes(&self) -> usize {
-        self.trees.iter().map(FlatTree::n_nodes).sum()
+        self.ensemble.n_nodes()
+    }
+
+    /// Boost on the checked targets `y` and keep the rounds with the
+    /// classification or regression link.
+    fn fit_rounds(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        classification: bool,
+    ) -> Result<(), LearnError> {
+        let (trees, base) = fit_gbdt(x, y, &self.config, classification)?;
+        // Raw impurity decreases summed over the kept rounds, then
+        // normalized (the forests' importance contract).
+        let mut importances = vec![0.0; x.n_cols()];
+        for t in &trees {
+            for (a, v) in importances.iter_mut().zip(t.importances()) {
+                *a += v;
+            }
+        }
+        normalize(&mut importances);
+        self.importances = importances;
+        let link = if classification {
+            Link::Sigmoid(base)
+        } else {
+            Link::Offset(base)
+        };
+        self.ensemble = Ensemble { trees, link };
+        Ok(())
     }
 }
 
-impl Regressor for GbdtRegressor {
+impl Regressor for Gbdt<Continuous> {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
-        let (trees, base) = fit_gbdt(x, y, &self.config, false)?;
-        self.importances = summed_importances(&trees, x.n_cols());
-        self.n_features = x.n_cols();
-        self.base = base;
-        self.trees = trees;
-        Ok(())
+        self.fit_rounds(x, y, false)
     }
 }
 
-impl Predictor for GbdtRegressor {
-    fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted);
-        }
-        if x.len() != self.n_features {
-            return Err(LearnError::Shape(format!(
-                "row has {} features, model expects {}",
-                x.len(),
-                self.n_features
-            )));
-        }
-        let mut sum = 0.0;
-        for t in &self.trees {
-            sum += t.traverse(x);
-        }
-        Ok(self.base + sum)
-    }
-
-    fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        let flats: Vec<&FlatTree> = self.trees.iter().collect();
-        let base = self.base;
-        predict_batch_flats(&flats, self.config.n_threads, x, out, |s| base + s)
-    }
-
-    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
-        let flats: Vec<&FlatTree> = self.trees.iter().collect();
-        LeafTable::build(&flats, x, self.config.n_threads)
-    }
-
-    fn predict_delta(
-        &self,
-        table: &LeafTable,
-        x: &ColumnOverlay<'_>,
-        out: &mut [f64],
-    ) -> Result<(), LearnError> {
-        let flats: Vec<&FlatTree> = self.trees.iter().collect();
-        let base = self.base;
-        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| base + s)
-    }
-}
-
-/// A gradient-boosted binary classifier: logistic loss, predictions are
-/// `sigmoid(base + Σ leaf)` probabilities of class 1.
-#[derive(Debug, Clone)]
-pub struct GbdtClassifier {
-    /// Boosting hyperparameters.
-    pub config: GbdtConfig,
-    trees: Vec<FlatTree>,
-    base: f64,
-    n_features: usize,
-    importances: Vec<f64>,
-}
-
-impl Default for GbdtClassifier {
-    fn default() -> Self {
-        GbdtClassifier::new(GbdtConfig::default())
-    }
-}
-
-impl GbdtClassifier {
-    /// Ensemble with the given hyperparameters.
-    pub fn new(config: GbdtConfig) -> Self {
-        GbdtClassifier {
-            config,
-            trees: Vec::new(),
-            base: 0.0,
-            n_features: 0,
-            importances: Vec::new(),
-        }
-    }
-
-    /// Number of kept boosting rounds.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Normalized impurity feature importances summed over rounds.
-    ///
-    /// # Errors
-    /// [`LearnError::NotFitted`] before fit.
-    pub fn feature_importances(&self) -> Result<&[f64], LearnError> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted);
-        }
-        Ok(&self.importances)
-    }
-
-    /// Total node count across rounds (store weight accounting).
-    pub fn n_nodes(&self) -> usize {
-        self.trees.iter().map(FlatTree::n_nodes).sum()
-    }
-}
-
-impl Classifier for GbdtClassifier {
+impl Classifier for Gbdt<Binary> {
     fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
-        check_binary_labels(x, y)?;
-        let yf: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
-        let (trees, base) = fit_gbdt(x, &yf, &self.config, true)?;
-        self.importances = summed_importances(&trees, x.n_cols());
-        self.n_features = x.n_cols();
-        self.base = base;
-        self.trees = trees;
-        Ok(())
+        let targets = binary_targets(x, y)?;
+        self.fit_rounds(x, &targets, true)
     }
 }
 
-impl Predictor for GbdtClassifier {
+impl<K> Predictor for Gbdt<K> {
     fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted);
-        }
-        if x.len() != self.n_features {
-            return Err(LearnError::Shape(format!(
-                "row has {} features, model expects {}",
-                x.len(),
-                self.n_features
-            )));
-        }
-        let mut sum = 0.0;
-        for t in &self.trees {
-            sum += t.traverse(x);
-        }
-        Ok(sigmoid(self.base + sum))
+        self.ensemble.predict_row(x)
     }
 
     fn n_features(&self) -> usize {
-        self.n_features
+        self.ensemble.n_features()
     }
 
     fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        let flats: Vec<&FlatTree> = self.trees.iter().collect();
-        let base = self.base;
-        predict_batch_flats(&flats, self.config.n_threads, x, out, |s| sigmoid(base + s))
+        self.ensemble.predict_batch(self.config.n_threads, x, out)
     }
 
     fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
-        let flats: Vec<&FlatTree> = self.trees.iter().collect();
-        LeafTable::build(&flats, x, self.config.n_threads)
+        self.ensemble.leaf_table(x, self.config.n_threads)
     }
 
     fn predict_delta(
@@ -825,11 +717,8 @@ impl Predictor for GbdtClassifier {
         x: &ColumnOverlay<'_>,
         out: &mut [f64],
     ) -> Result<(), LearnError> {
-        let flats: Vec<&FlatTree> = self.trees.iter().collect();
-        let base = self.base;
-        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| {
-            sigmoid(base + s)
-        })
+        self.ensemble
+            .predict_delta(self.config.n_threads, table, x, out)
     }
 }
 

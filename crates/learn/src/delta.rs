@@ -91,7 +91,7 @@ impl LeafTable {
     /// `n_threads` workers, and index each tree's tests by feature.
     /// `None` for an empty ensemble or matrix, a width mismatch, or a
     /// tree over [`Self::MAX_TREE_NODES`] nodes.
-    pub(crate) fn build(trees: &[&FlatTree], x: &Matrix, n_threads: usize) -> Option<LeafTable> {
+    pub(crate) fn build(trees: &[FlatTree], x: &Matrix, n_threads: usize) -> Option<LeafTable> {
         let n = x.n_rows();
         let first = trees.first()?;
         let n_features = first.n_features();
@@ -185,7 +185,7 @@ fn single_column<'o>(x: &'o ColumnOverlay<'_>) -> Option<(usize, &'o [f64])> {
 /// of `table`'s shape. The view uses the table's memo unless another
 /// view holds it.
 pub(crate) fn predict_delta_flats(
-    trees: &[&FlatTree],
+    trees: &[FlatTree],
     n_threads: usize,
     table: &LeafTable,
     x: &ColumnOverlay<'_>,
@@ -210,7 +210,7 @@ pub(crate) fn predict_delta_flats(
 /// A view that moves column `j` of the matrix a [`LeafTable`] was built
 /// from to `moved`, on the trees that built it.
 struct Moved<'a> {
-    trees: &'a [&'a FlatTree],
+    trees: &'a [FlatTree],
     table: &'a LeafTable,
     base: &'a Matrix,
     j: usize,
@@ -222,7 +222,7 @@ impl<'a> Moved<'a> {
     /// matrix of `table`'s shape. A built table never has zero trees,
     /// so a match implies `trees[0]`.
     fn of(
-        trees: &'a [&'a FlatTree],
+        trees: &'a [FlatTree],
         table: &'a LeafTable,
         x: &'a ColumnOverlay<'a>,
     ) -> Option<Moved<'a>> {
@@ -397,7 +397,7 @@ mod tests {
 
     /// Delta and full kernel agree bit for bit on `x` with column `j`
     /// replaced by `moved`, and return the full kernel's scores.
-    fn agree(trees: &[&FlatTree], x: &Matrix, j: usize, moved: Vec<f64>) -> Vec<f64> {
+    fn agree(trees: &[FlatTree], x: &Matrix, j: usize, moved: Vec<f64>) -> Vec<f64> {
         let table = LeafTable::build(trees, x, 1).unwrap();
         let mut overlay = ColumnOverlay::new(x);
         overlay.set_col(j, moved).unwrap();
@@ -415,7 +415,7 @@ mod tests {
     fn moves_onto_thresholds_signed_zeros_infinities_and_nan_route_like_the_walk() {
         // Thresholds include 0.0, so ±0 moves land exactly on one.
         let thresholds = [-2.0, -0.5, 0.0, 0.75, 3.0];
-        let tree = caterpillar(1, 2, &thresholds);
+        let tree = [caterpillar(1, 2, &thresholds)];
         let base: Vec<f64> = vec![-3.0, -1.0, -0.25, 0.5, 1.0, 5.0, -0.0, 0.0];
         let rows: Vec<Vec<f64>> = base.iter().map(|&v| vec![7.0, v]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
@@ -433,7 +433,7 @@ mod tests {
             -f64::MIN_POSITIVE,
         ];
         for &v in &specials {
-            let got = agree(&[&tree], &x, 1, vec![v; x.n_rows()]);
+            let got = agree(&tree, &x, 1, vec![v; x.n_rows()]);
             // Cross-check against the walk's own `<=`: the first
             // threshold `v` is at or below.
             let want = thresholds
@@ -445,21 +445,21 @@ mod tests {
         // Each row moved onto every threshold in turn, and rows moved
         // by a shift that keeps some on their leaf and sends others off.
         for &t in &thresholds {
-            agree(&[&tree], &x, 1, vec![t; x.n_rows()]);
+            agree(&tree, &x, 1, vec![t; x.n_rows()]);
         }
-        agree(&[&tree], &x, 1, base.iter().map(|v| v + 0.3).collect());
+        agree(&tree, &x, 1, base.iter().map(|v| v + 0.3).collect());
         // Moving the column no node tests keeps every leaf.
-        agree(&[&tree], &x, 0, vec![f64::NAN; x.n_rows()]);
+        agree(&tree, &x, 0, vec![f64::NAN; x.n_rows()]);
     }
 
     #[test]
     fn a_nan_threshold_on_the_moved_column_walks_and_still_agrees() {
         // `x <= NaN` is false for every x, so every row goes right at
         // the NaN test; the leaves below it always walk.
-        let tree = caterpillar(0, 1, &[f64::NAN, 1.0, 2.0]);
+        let tree = [caterpillar(0, 1, &[f64::NAN, 1.0, 2.0])];
         let x = Matrix::from_rows(&[vec![0.5], vec![1.5], vec![2.5], vec![-4.0]]).unwrap();
         for v in [0.0, 1.0, 1.5, 2.0, 9.0, f64::NAN, f64::NEG_INFINITY] {
-            agree(&[&tree], &x, 0, vec![v; 4]);
+            agree(&tree, &x, 0, vec![v; 4]);
         }
     }
 
@@ -522,12 +522,12 @@ mod tests {
 
     #[test]
     fn other_views_and_mismatched_tables_fall_back_to_the_full_kernel() {
-        let tree = caterpillar(0, 2, &[1.0, 2.0]);
+        let tree = [caterpillar(0, 2, &[1.0, 2.0])];
         let x = Matrix::from_rows(&[vec![0.5, 0.0], vec![1.5, 0.0], vec![9.0, 0.0]]).unwrap();
-        let table = LeafTable::build(&[&tree], &x, 1).unwrap();
+        let table = LeafTable::build(&tree, &x, 1).unwrap();
         let score = |o: &ColumnOverlay<'_>, table: &LeafTable| {
             let mut out = vec![0.0; o.n_rows()];
-            predict_delta_flats(&[&tree], 1, table, o, &mut out, |s| s).unwrap();
+            predict_delta_flats(&tree, 1, table, o, &mut out, |s| s).unwrap();
             out
         };
         // Two moved columns: the full kernel scores them.
@@ -537,13 +537,13 @@ mod tests {
         assert_eq!(score(&two, &table), vec![1.0, 2.0, 0.0]);
         // A table of another height is ignored.
         let short = Matrix::from_rows(&[vec![0.5, 0.0]]).unwrap();
-        let other = LeafTable::build(&[&tree], &short, 1).unwrap();
+        let other = LeafTable::build(&tree, &short, 1).unwrap();
         let mut one = ColumnOverlay::new(&x);
         one.set_col(0, vec![1.5, 9.0, 0.5]).unwrap();
         assert_eq!(score(&one, &other), score(&one, &table));
         // No table for an empty matrix, a width mismatch, or no trees.
-        assert!(LeafTable::build(&[&tree], &Matrix::zeros(0, 2), 1).is_none());
-        assert!(LeafTable::build(&[&tree], &Matrix::zeros(3, 1), 1).is_none());
+        assert!(LeafTable::build(&tree, &Matrix::zeros(0, 2), 1).is_none());
+        assert!(LeafTable::build(&tree, &Matrix::zeros(3, 1), 1).is_none());
         assert!(LeafTable::build(&[], &x, 1).is_none());
     }
 
@@ -561,8 +561,8 @@ mod tests {
         let large = caterpillar(0, 1, &too_big);
         assert_eq!(small.n_nodes(), LeafTable::MAX_TREE_NODES - 1);
         assert_eq!(large.n_nodes(), LeafTable::MAX_TREE_NODES + 1);
-        assert!(LeafTable::build(&[&small], &x, 1).is_some());
-        assert!(LeafTable::build(&[&small, &large], &x, 1).is_none());
+        assert!(LeafTable::build(std::slice::from_ref(&small), &x, 1).is_some());
+        assert!(LeafTable::build(&[small, large], &x, 1).is_none());
     }
 
     #[test]
@@ -590,7 +590,7 @@ mod tests {
                 t
             })
             .collect();
-        let trees: Vec<&FlatTree> = fitted.iter().filter_map(|t| t.flat()).collect();
+        let trees: Vec<FlatTree> = fitted.iter().filter_map(|t| t.flat()).cloned().collect();
         let table = LeafTable::build(&trees, &x, 2).unwrap();
         let overlay = |j: usize, pct: f64| {
             let mut o = ColumnOverlay::new(&x);

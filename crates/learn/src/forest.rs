@@ -1,12 +1,24 @@
-//! Bootstrap random forests (classifier + regressor).
+//! Bootstrap random forests, and the prediction surface every tree
+//! ensemble shares.
 //!
 //! The paper's discrete-KPI model is a scikit-learn
 //! `RandomForestClassifier`; driver importances are its impurity feature
-//! importances. This implementation reproduces those semantics: bootstrap
-//! rows per tree, sqrt/one-third feature subsampling per split, averaged
-//! normalized impurity importances, and out-of-bag scoring. Trees train
-//! in parallel on std scoped threads; each tree worker also walks its
-//! tree's out-of-bag rows, so the OOB score folds ready votes.
+//! importances. [`RandomForest`] reproduces those semantics for both KPI
+//! kinds (the classifier and regressor are `RandomForest<Binary>` and
+//! `RandomForest<Continuous>`): bootstrap rows per tree, sqrt/one-third
+//! feature subsampling per split, averaged normalized impurity
+//! importances, and out-of-bag scoring. One fit serves both kinds; only
+//! the label check, the criterion, the `max_features` default and the
+//! OOB score differ. Trees train in parallel on std scoped threads; each
+//! tree worker also walks its tree's out-of-bag rows, so the OOB score
+//! folds ready votes.
+//!
+//! Every tree ensemble — both forests and both GBDT types
+//! ([`crate::binned`]) — keeps its fitted trees in one `Ensemble`: the
+//! trees plus the link that maps a row's sum of leaf values to its score
+//! (the mean for forests, `base + sum` or its sigmoid for boosting).
+//! `Ensemble` implements prediction once, and each family's
+//! [`Predictor`] delegates to it.
 //!
 //! Batched prediction is **tree-major blocked**: rows are scored in
 //! blocks of [`PREDICT_ROW_BLOCK`], and within a block every tree is
@@ -20,26 +32,27 @@
 //! not on threads spawned per call.
 //!
 //! A view that moves one column of the training matrix can skip most
-//! of that work: both forest families (and both GBDT types) implement
-//! [`Predictor::leaf_table`] and [`Predictor::predict_delta`], which
-//! keep each (row, tree) pair's training-matrix leaf wherever the moved
-//! value cannot change it and walk only the rest ([`crate::delta`]).
-//! The delta kernel fans out over rows with the same worker rule and
-//! the same pool as the full kernel and gives the same bits.
+//! of that work: `Ensemble` implements [`Predictor::leaf_table`] and
+//! [`Predictor::predict_delta`] for every tree ensemble, keeping each
+//! (row, tree) pair's training-matrix leaf wherever the moved value
+//! cannot change it and walking only the rest ([`crate::delta`]). The
+//! delta kernel fans out over rows with the same worker rule and the
+//! same pool as the full kernel and gives the same bits.
 
-use crate::binned::{grow_binned, BinnedDataset};
+use crate::binned::{grow_binned, sigmoid, BinnedDataset};
 use crate::delta::{predict_delta_flats, LeafTable};
 use crate::linalg::Matrix;
 use crate::model::{
-    check_batch_shape, check_binary_labels, Classifier, LearnError, MatrixView, Predictor,
-    Regressor,
+    binary_targets, check_batch_shape, check_targets, Binary, Classifier, Continuous, LearnError,
+    MatrixView, Predictor, Regressor,
 };
 use crate::overlay::ColumnOverlay;
 use crate::pool;
 use crate::tree::{
-    check_no_nan_features, DecisionTreeClassifier, DecisionTreeRegressor, FlatTree, FullPresort,
-    Gini, Mse, Trainer, TreeConfig, GROUP,
+    check_no_nan_features, normalize, Criterion, FlatTree, FullPresort, Gini, Grow, Mse, Trainer,
+    TreeConfig, GROUP,
 };
+use core::marker::PhantomData;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use whatif_stats::sampling::{bootstrap_indices, out_of_bag_indices};
@@ -79,28 +92,21 @@ impl Default for ForestConfig {
     }
 }
 
-/// Fitted base learners, each with its out-of-bag votes: `(row, leaf)`
-/// for every row its bootstrap sample left out, the leaf the row lands
-/// on in that tree.
-type FittedTrees<T> = Vec<(T, Vec<(u32, u32)>)>;
+/// Fitted trees, each with its out-of-bag votes: `(row, leaf)` for every
+/// row its bootstrap sample left out, the leaf the row lands on in that
+/// tree.
+type FittedTrees = Vec<(FlatTree, Vec<(u32, u32)>)>;
 
-/// Shared fitting logic: train `config.n_trees` base learners on
-/// bootstrap rows of `x` and walk each one's out-of-bag rows.
+/// Train `config.n_trees` trees on bootstrap rows of `x` and walk each
+/// one's out-of-bag rows.
 ///
-/// `train` receives `(tree_seed, bootstrap_sample)` and returns the
-/// fitted base learner, whose layout `flat` reads; the caller supplies
-/// the family-specific constructor. Trees come back in tree order, so
-/// folding their votes in that order is independent of the thread
-/// count.
-fn fit_trees<T, F>(
-    x: &Matrix,
-    config: &ForestConfig,
-    train: F,
-    flat: fn(&T) -> Option<&FlatTree>,
-) -> Result<FittedTrees<T>, LearnError>
+/// `train` receives `(tree_seed, bootstrap_sample)` and grows the tree.
+/// Trees come back in tree order, so folding their votes in that order
+/// is independent of the thread count. A panic in `train` reaches the
+/// caller with its own payload.
+fn fit_trees<F>(x: &Matrix, config: &ForestConfig, train: F) -> Result<FittedTrees, LearnError>
 where
-    T: Send,
-    F: Fn(u64, &[usize]) -> Result<T, LearnError> + Sync,
+    F: Fn(u64, &[usize]) -> FlatTree + Sync,
 {
     let n_rows = x.n_rows();
     if config.n_trees == 0 {
@@ -121,40 +127,36 @@ where
         })
         .collect();
     let fit_one = |(seed, sample): &(u64, Vec<usize>)| {
-        let tree = train(*seed, sample)?;
-        let oob = out_of_bag_indices(sample, n_rows);
-        let votes = oob_leaves(flat(&tree).ok_or(LearnError::NotFitted)?, x, &oob);
-        Ok((tree, votes))
+        let tree = train(*seed, sample);
+        let votes = oob_leaves(&tree, x, &out_of_bag_indices(sample, n_rows));
+        (tree, votes)
     };
 
     let n_threads = worker_count(config.n_threads, config.n_trees);
     if n_threads == 1 {
-        return jobs.iter().map(fit_one).collect();
+        return Ok(jobs.iter().map(fit_one).collect());
     }
 
     // Tree jobs run 20–100 ms, so spawning threads here costs under
     // 0.5 %; the pool's parked workers would keep this scratch resident
     // (see `crate::pool`).
     let chunk = jobs.len().div_ceil(n_threads);
-    let results: Vec<Result<FittedTrees<T>, LearnError>> = std::thread::scope(|scope| {
+    Ok(std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks(chunk)
             .map(|chunk_jobs| {
                 let fit_one = &fit_one;
-                scope.spawn(move || chunk_jobs.iter().map(fit_one).collect())
+                scope.spawn(move || chunk_jobs.iter().map(fit_one).collect::<Vec<_>>())
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("forest worker panicked"))
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
-    });
-
-    let mut out = Vec::with_capacity(config.n_trees);
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+    }))
 }
 
 /// `(row, leaf)` for each of `rows`: the leaf the row of `x` lands on
@@ -179,10 +181,8 @@ fn oob_leaves(tree: &FlatTree, x: &Matrix, rows: &[usize]) -> Vec<(u32, u32)> {
     out
 }
 
-/// Minimum row×tree work before a forest batch fans out to threads.
-/// Exposed so callers that parallelize at a coarser level (e.g. per
-/// scenario) can predict whether a batch will spawn its own workers
-/// and avoid nesting fan-outs.
+/// Minimum row×tree work before a tree-ensemble batch fans out to
+/// threads ([`batch_threads`]).
 pub const PARALLEL_BATCH_MIN_WORK: usize = 8_192;
 
 /// Rows scored per tree-major block: small enough that the accumulator
@@ -215,11 +215,14 @@ pub fn worker_count(requested: usize, jobs: usize) -> usize {
         .min(hardware_parallelism())
 }
 
-/// Decide the worker count for a batch of `rows` rows over `n_trees`
-/// trees. Waking a parked worker and waiting for it still costs µs;
-/// only fan out when the batch has enough row×tree work to amortize
-/// it.
-pub(crate) fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> usize {
+/// The worker count a tree ensemble with `n_threads` threads uses for a
+/// batch of `rows` rows over `n_trees` trees: one below
+/// [`PARALLEL_BATCH_MIN_WORK`] row×tree work, since waking a parked
+/// worker and waiting for it still costs µs, else [`worker_count`].
+/// Callers that parallelize at a coarser level (e.g. per scenario) ask
+/// it whether a batch will fan out on its own, to avoid nesting
+/// fan-outs.
+pub fn batch_threads(n_threads: usize, rows: usize, n_trees: usize) -> usize {
     let work = rows.saturating_mul(n_trees);
     if work < PARALLEL_BATCH_MIN_WORK {
         1
@@ -240,13 +243,12 @@ pub(crate) fn row_chunk_len(n_threads: usize, rows: usize, n_trees: usize) -> us
 /// workers of [`crate::pool`]; within each [`PREDICT_ROW_BLOCK`]-row
 /// block, every tree is traversed for the whole block before the next
 /// tree starts. `finalize` maps each row's accumulated leaf sum to the
-/// final score — `sum / n_trees` for forests, `base + sum` (or its
-/// sigmoid) for boosted ensembles. Per-row math (sum trees in order,
-/// finalize once) matches the corresponding `predict_row` exactly, and
+/// final score (the ensemble's [`Link`]). Per-row math (sum trees in
+/// order, finalize once) matches [`Ensemble::predict_row`] exactly, and
 /// every row writes its own slot, so the result is bit-identical and
 /// deterministic regardless of thread count and block size.
 pub(crate) fn predict_batch_flats(
-    trees: &[&FlatTree],
+    trees: &[FlatTree],
     n_threads: usize,
     x: MatrixView<'_>,
     out: &mut [f64],
@@ -301,69 +303,135 @@ pub(crate) fn predict_batch_flats(
     Ok(())
 }
 
-fn averaged_importances(per_tree: &[Vec<f64>], p: usize) -> Vec<f64> {
-    let mut avg = vec![0.0; p];
-    for imp in per_tree {
-        for (a, v) in avg.iter_mut().zip(imp) {
-            *a += v;
-        }
-    }
-    let total: f64 = avg.iter().sum();
-    if total > 0.0 {
-        for a in avg.iter_mut() {
-            *a /= total;
-        }
-    }
-    avg
+/// How a tree ensemble turns one row's sum of leaf values into its
+/// score.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) enum Link {
+    /// Forests: the mean over the trees.
+    #[default]
+    Mean,
+    /// GBDT regressor: `base + sum` (shrinkage is in the leaves).
+    Offset(f64),
+    /// GBDT classifier: `sigmoid(base + sum)`, the class-1 probability.
+    Sigmoid(f64),
 }
 
-/// Sum of one row's predictions across fitted trees, unchecked (the
-/// caller has validated the row width once).
-fn sum_trees<'a>(flats: impl Iterator<Item = Option<&'a FlatTree>>, row: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    for t in flats {
-        sum += t.expect("fitted forest holds fitted trees").traverse(row);
-    }
-    sum
+/// The fitted trees of a forest or a boosted ensemble, in order, and
+/// the [`Link`] that scores their leaf sums: the one prediction surface
+/// of every tree ensemble. No trees before fit.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ensemble {
+    pub(crate) trees: Vec<FlatTree>,
+    pub(crate) link: Link,
 }
 
-/// A bootstrap random-forest binary classifier. Predictions are mean leaf
-/// probabilities across trees.
+impl Ensemble {
+    /// The link as a function of a row's leaf sum.
+    fn finalize(&self) -> impl Fn(f64) -> f64 + Sync {
+        let (link, n_trees) = (self.link, self.trees.len() as f64);
+        move |sum| match link {
+            Link::Mean => sum / n_trees,
+            Link::Offset(base) => base + sum,
+            Link::Sigmoid(base) => sigmoid(base + sum),
+        }
+    }
+
+    pub(crate) fn n_features(&self) -> usize {
+        self.trees.first().map_or(0, FlatTree::n_features)
+    }
+
+    /// Total node count across the trees (store weight accounting).
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.trees.iter().map(FlatTree::n_nodes).sum()
+    }
+
+    pub(crate) fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
+        let first = self.trees.first().ok_or(LearnError::NotFitted)?;
+        if x.len() != first.n_features() {
+            return Err(LearnError::Shape(format!(
+                "row has {} features, model expects {}",
+                x.len(),
+                first.n_features()
+            )));
+        }
+        let mut sum = 0.0;
+        for t in &self.trees {
+            sum += t.traverse(x);
+        }
+        Ok(self.finalize()(sum))
+    }
+
+    pub(crate) fn predict_batch(
+        &self,
+        n_threads: usize,
+        x: MatrixView<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        predict_batch_flats(&self.trees, n_threads, x, out, self.finalize())
+    }
+
+    pub(crate) fn leaf_table(&self, x: &Matrix, n_threads: usize) -> Option<LeafTable> {
+        LeafTable::build(&self.trees, x, n_threads)
+    }
+
+    pub(crate) fn predict_delta(
+        &self,
+        n_threads: usize,
+        table: &LeafTable,
+        x: &ColumnOverlay<'_>,
+        out: &mut [f64],
+    ) -> Result<(), LearnError> {
+        predict_delta_flats(&self.trees, n_threads, table, x, out, self.finalize())
+    }
+}
+
+/// A bootstrap random forest for KPI kind `K`: a classifier
+/// ([`RandomForestClassifier`]) for [`Binary`], a regressor
+/// ([`RandomForestRegressor`]) for [`Continuous`]. Predictions are mean
+/// leaf values across trees: class-1 probabilities or mean targets.
 #[derive(Debug, Clone)]
-pub struct RandomForestClassifier {
+pub struct RandomForest<K> {
     /// Forest hyperparameters.
     pub config: ForestConfig,
-    trees: Vec<DecisionTreeClassifier>,
+    ensemble: Ensemble,
+    /// Out-of-bag accuracy (classifier) or R² (regressor).
     oob_score: Option<f64>,
     importances: Vec<f64>,
+    kind: PhantomData<fn() -> K>,
 }
 
-impl Default for RandomForestClassifier {
+/// A bootstrap random-forest binary classifier.
+pub type RandomForestClassifier = RandomForest<Binary>;
+
+/// A bootstrap random-forest regressor.
+pub type RandomForestRegressor = RandomForest<Continuous>;
+
+impl<K> Default for RandomForest<K> {
     fn default() -> Self {
-        RandomForestClassifier::new(ForestConfig::default())
+        RandomForest::new(ForestConfig::default())
     }
 }
 
-impl RandomForestClassifier {
+impl<K> RandomForest<K> {
     /// Forest with the given hyperparameters.
     pub fn new(config: ForestConfig) -> Self {
-        RandomForestClassifier {
+        RandomForest {
             config,
-            trees: Vec::new(),
+            ensemble: Ensemble::default(),
             oob_score: None,
             importances: Vec::new(),
+            kind: PhantomData,
         }
     }
 
     /// Convenience constructor: `n_trees` trees, given seed, defaults
     /// elsewhere.
     pub fn with_trees(n_trees: usize, seed: u64) -> Self {
-        let config = ForestConfig {
+        RandomForest::new(ForestConfig {
             n_trees,
             seed,
             ..ForestConfig::default()
-        };
-        RandomForestClassifier::new(config)
+        })
     }
 
     /// Normalized impurity feature importances averaged over trees
@@ -372,12 +440,86 @@ impl RandomForestClassifier {
     /// # Errors
     /// [`LearnError::NotFitted`] before fit.
     pub fn feature_importances(&self) -> Result<&[f64], LearnError> {
-        if self.trees.is_empty() {
+        if self.ensemble.trees.is_empty() {
             return Err(LearnError::NotFitted);
         }
         Ok(&self.importances)
     }
 
+    /// Number of fitted trees.
+    pub fn n_trees(&self) -> usize {
+        self.ensemble.trees.len()
+    }
+
+    /// Total node count across trees (store weight accounting).
+    pub fn n_nodes(&self) -> usize {
+        self.ensemble.n_nodes()
+    }
+
+    /// Grow the forest with criterion `C` on the checked targets `y`,
+    /// `default_features` features per split unless the tree config
+    /// sets them, and return each row's out-of-bag `(sum of leaf
+    /// values, votes)`.
+    fn fit_forest<C: Criterion>(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        default_features: usize,
+    ) -> Result<Vec<(f64, u32)>, LearnError> {
+        // One NaN screen for the whole forest instead of one per tree.
+        check_no_nan_features(x)?;
+        let mut tree_config = self.config.tree.clone();
+        tree_config.max_features.get_or_insert(default_features);
+        // One full-dataset presort shared by every tree worker; the
+        // binned tier quantizes it once more into one shared bin matrix
+        // (this is the "one-time per-forest" cost — tree workers never
+        // sort or scan full-precision columns again).
+        let presort = FullPresort::new(x, y);
+        let binned = match self.config.trainer {
+            Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
+            Trainer::Presorted => None,
+        };
+        let train = |seed, sample: &[usize]| {
+            let cfg = TreeConfig {
+                seed,
+                ..tree_config.clone()
+            };
+            match &binned {
+                Some(data) => grow_binned::<C>(data, y, sample, &cfg),
+                None => Grow::<C>::build(x, y, sample, &cfg, &presort),
+            }
+        };
+        let fitted = fit_trees(x, &self.config, train)?;
+
+        // OOB votes and importances fold in tree order, from the leaves
+        // the tree workers found.
+        let mut oob = vec![(0.0, 0u32); x.n_rows()];
+        let mut importances = vec![0.0; x.n_cols()];
+        let mut trees = Vec::with_capacity(fitted.len());
+        for (tree, votes) in fitted {
+            for &(i, leaf) in &votes {
+                let (sum, n) = &mut oob[i as usize];
+                *sum += tree.leaf_value(leaf as usize);
+                *n += 1;
+            }
+            let mut tree_importances = tree.importances().to_vec();
+            normalize(&mut tree_importances);
+            for (a, v) in importances.iter_mut().zip(tree_importances) {
+                *a += v;
+            }
+            trees.push(tree);
+        }
+        normalize(&mut importances);
+        self.importances = importances;
+        self.ensemble = Ensemble {
+            trees,
+            link: Link::Mean,
+        };
+        Ok(oob)
+    }
+}
+
+impl RandomForest<Binary> {
     /// Out-of-bag accuracy estimate (rows never sampled by a tree are
     /// scored by that tree; majority vote per row).
     ///
@@ -386,87 +528,31 @@ impl RandomForestClassifier {
     pub fn oob_accuracy(&self) -> Result<f64, LearnError> {
         self.oob_score.ok_or(LearnError::NotFitted)
     }
+}
 
-    /// Number of fitted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
+impl RandomForest<Continuous> {
+    /// Out-of-bag R² estimate.
+    ///
+    /// # Errors
+    /// [`LearnError::NotFitted`] before fit.
+    pub fn oob_r2(&self) -> Result<f64, LearnError> {
+        self.oob_score.ok_or(LearnError::NotFitted)
     }
+}
 
-    /// Total node count across trees (store weight accounting).
-    pub fn n_nodes(&self) -> usize {
-        self.flats().iter().map(|t| t.n_nodes()).sum()
-    }
-
-    /// The fitted trees' flat layouts, in tree order.
-    fn flats(&self) -> Vec<&FlatTree> {
-        self.trees
-            .iter()
-            .filter_map(DecisionTreeClassifier::flat)
-            .collect()
-    }
-
-    fn fit_impl(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
-        check_binary_labels(x, y)?;
-        // One NaN screen for the whole forest instead of one per tree.
-        check_no_nan_features(x)?;
+impl Classifier for RandomForest<Binary> {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
+        let targets = binary_targets(x, y)?;
+        // Classification default: √p features per split.
         let p = x.n_cols();
-        let mut tree_config = self.config.tree.clone();
-        if tree_config.max_features.is_none() {
-            // Classification default: sqrt(p).
-            tree_config.max_features = Some(((p as f64).sqrt().round() as usize).clamp(1, p));
-        }
-        // One full-dataset presort shared by every tree worker; the
-        // binned tier quantizes it once more into one shared bin matrix
-        // (this is the "one-time per-forest" cost — tree workers never
-        // sort or scan full-precision columns again).
-        let yf: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
-        let presort = FullPresort::new(x, &yf);
-        let binned = match self.config.trainer {
-            Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
-            Trainer::Presorted => None,
-        };
-        let train = |seed, sample: &[usize]| {
-            let mut cfg = tree_config.clone();
-            cfg.seed = seed;
-            match &binned {
-                Some(data) => {
-                    let flat = grow_binned::<Gini>(data, &yf, sample, &cfg);
-                    Ok(DecisionTreeClassifier::from_flat(cfg, flat))
-                }
-                None => {
-                    let mut t = DecisionTreeClassifier::new(cfg);
-                    t.fit_on_sample_with(x, y, sample, Some(&presort))?;
-                    Ok(t)
-                }
-            }
-        };
-        let fitted = fit_trees(x, &self.config, train, DecisionTreeClassifier::flat)?;
-
-        // OOB vote accumulation, in tree order, from the leaves the tree
-        // workers found.
-        let mut prob_sum = vec![0.0f64; x.n_rows()];
-        let mut votes = vec![0u32; x.n_rows()];
-        let mut trees = Vec::with_capacity(fitted.len());
-        let mut per_tree_imp = Vec::with_capacity(fitted.len());
-        for (t, oob) in fitted {
-            let flat = t.flat().ok_or(LearnError::NotFitted)?;
-            for &(i, leaf) in &oob {
-                prob_sum[i as usize] += flat.leaf_value(leaf as usize);
-                votes[i as usize] += 1;
-            }
-            per_tree_imp.push(t.feature_importances()?);
-            trees.push(t);
-        }
+        let sqrt_p = ((p as f64).sqrt().round() as usize).clamp(1, p.max(1));
+        let oob = self.fit_forest::<Gini>(x, &targets, sqrt_p)?;
         let mut correct = 0usize;
         let mut counted = 0usize;
-        for i in 0..x.n_rows() {
-            if votes[i] == 0 {
-                continue;
-            }
-            counted += 1;
-            let pred = u8::from(prob_sum[i] / f64::from(votes[i]) >= 0.5);
-            if pred == y[i] {
-                correct += 1;
+        for (&(sum, votes), &label) in oob.iter().zip(y) {
+            if votes > 0 {
+                counted += 1;
+                correct += usize::from(u8::from(sum / f64::from(votes) >= 0.5) == label);
             }
         }
         self.oob_score = Some(if counted == 0 {
@@ -474,196 +560,25 @@ impl RandomForestClassifier {
         } else {
             correct as f64 / counted as f64
         });
-        self.importances = averaged_importances(&per_tree_imp, p);
-        self.trees = trees;
         Ok(())
     }
 }
 
-impl Classifier for RandomForestClassifier {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
-        self.fit_impl(x, y)
-    }
-}
-
-impl Predictor for RandomForestClassifier {
-    fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        let first = self.trees.first().ok_or(LearnError::NotFitted)?;
-        if x.len() != first.n_features() {
-            return Err(LearnError::Shape(format!(
-                "row has {} features, tree expects {}",
-                x.len(),
-                first.n_features()
-            )));
-        }
-        let sum = sum_trees(self.trees.iter().map(DecisionTreeClassifier::flat), x);
-        Ok(sum / self.trees.len() as f64)
-    }
-
-    fn n_features(&self) -> usize {
-        self.trees.first().map_or(0, Predictor::n_features)
-    }
-
-    fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        let flats = self.flats();
-        let n_trees = flats.len() as f64;
-        predict_batch_flats(&flats, self.config.n_threads, x, out, |s| s / n_trees)
-    }
-
-    fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
-        LeafTable::build(&self.flats(), x, self.config.n_threads)
-    }
-
-    fn predict_delta(
-        &self,
-        table: &LeafTable,
-        x: &ColumnOverlay<'_>,
-        out: &mut [f64],
-    ) -> Result<(), LearnError> {
-        let flats = self.flats();
-        let n_trees = flats.len() as f64;
-        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| {
-            s / n_trees
-        })
-    }
-}
-
-/// A bootstrap random-forest regressor. Predictions are mean leaf values
-/// across trees.
-#[derive(Debug, Clone)]
-pub struct RandomForestRegressor {
-    /// Forest hyperparameters.
-    pub config: ForestConfig,
-    trees: Vec<DecisionTreeRegressor>,
-    oob_r2: Option<f64>,
-    importances: Vec<f64>,
-}
-
-impl Default for RandomForestRegressor {
-    fn default() -> Self {
-        RandomForestRegressor::new(ForestConfig::default())
-    }
-}
-
-impl RandomForestRegressor {
-    /// Forest with the given hyperparameters.
-    pub fn new(config: ForestConfig) -> Self {
-        RandomForestRegressor {
-            config,
-            trees: Vec::new(),
-            oob_r2: None,
-            importances: Vec::new(),
-        }
-    }
-
-    /// Convenience constructor: `n_trees` trees, given seed.
-    pub fn with_trees(n_trees: usize, seed: u64) -> Self {
-        let config = ForestConfig {
-            n_trees,
-            seed,
-            ..ForestConfig::default()
-        };
-        RandomForestRegressor::new(config)
-    }
-
-    /// Normalized impurity feature importances averaged over trees.
-    ///
-    /// # Errors
-    /// [`LearnError::NotFitted`] before fit.
-    pub fn feature_importances(&self) -> Result<&[f64], LearnError> {
-        if self.trees.is_empty() {
-            return Err(LearnError::NotFitted);
-        }
-        Ok(&self.importances)
-    }
-
-    /// Out-of-bag R² estimate.
-    ///
-    /// # Errors
-    /// [`LearnError::NotFitted`] before fit.
-    pub fn oob_r2(&self) -> Result<f64, LearnError> {
-        self.oob_r2.ok_or(LearnError::NotFitted)
-    }
-
-    /// Number of fitted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Total node count across trees (store weight accounting).
-    pub fn n_nodes(&self) -> usize {
-        self.flats().iter().map(|t| t.n_nodes()).sum()
-    }
-
-    /// The fitted trees' flat layouts, in tree order.
-    fn flats(&self) -> Vec<&FlatTree> {
-        self.trees
-            .iter()
-            .filter_map(DecisionTreeRegressor::flat)
-            .collect()
-    }
-
-    fn fit_impl(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
-        if y.len() != x.n_rows() {
-            return Err(LearnError::Shape(format!(
-                "{} targets for {} rows",
-                y.len(),
-                x.n_rows()
-            )));
-        }
-        check_no_nan_features(x)?;
+impl Regressor for RandomForest<Continuous> {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
+        check_targets(x, y)?;
+        // Regression default: p/3 features per split.
         let p = x.n_cols();
-        let mut tree_config = self.config.tree.clone();
-        if tree_config.max_features.is_none() {
-            // Regression default: p/3.
-            tree_config.max_features = Some((p / 3).clamp(1, p.max(1)));
-        }
-        // One full-dataset presort shared by every tree worker; the
-        // binned tier quantizes it once more into one shared bin matrix.
-        let presort = FullPresort::new(x, y);
-        let binned = match self.config.trainer {
-            Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
-            Trainer::Presorted => None,
-        };
-        let train = |seed, sample: &[usize]| {
-            let mut cfg = tree_config.clone();
-            cfg.seed = seed;
-            match &binned {
-                Some(data) => {
-                    let flat = grow_binned::<Mse>(data, y, sample, &cfg);
-                    Ok(DecisionTreeRegressor::from_flat(cfg, flat))
-                }
-                None => {
-                    let mut t = DecisionTreeRegressor::new(cfg);
-                    t.fit_on_sample_with(x, y, sample, Some(&presort))?;
-                    Ok(t)
-                }
-            }
-        };
-        let fitted = fit_trees(x, &self.config, train, DecisionTreeRegressor::flat)?;
-
-        let mut pred_sum = vec![0.0f64; x.n_rows()];
-        let mut votes = vec![0u32; x.n_rows()];
-        let mut trees = Vec::with_capacity(fitted.len());
-        let mut per_tree_imp = Vec::with_capacity(fitted.len());
-        for (t, oob) in fitted {
-            let flat = t.flat().ok_or(LearnError::NotFitted)?;
-            for &(i, leaf) in &oob {
-                pred_sum[i as usize] += flat.leaf_value(leaf as usize);
-                votes[i as usize] += 1;
-            }
-            per_tree_imp.push(t.feature_importances()?);
-            trees.push(t);
-        }
-        let covered: Vec<usize> = (0..x.n_rows()).filter(|&i| votes[i] > 0).collect();
-        self.oob_r2 = Some(if covered.len() < 2 {
+        let oob = self.fit_forest::<Mse>(x, y, (p / 3).clamp(1, p.max(1)))?;
+        let covered: Vec<usize> = (0..x.n_rows()).filter(|&i| oob[i].1 > 0).collect();
+        self.oob_score = Some(if covered.len() < 2 {
             f64::NAN
         } else {
             let mean_y = covered.iter().map(|&i| y[i]).sum::<f64>() / covered.len() as f64;
             let ss_res: f64 = covered
                 .iter()
                 .map(|&i| {
-                    let p = pred_sum[i] / f64::from(votes[i]);
+                    let p = oob[i].0 / f64::from(oob[i].1);
                     (y[i] - p) * (y[i] - p)
                 })
                 .sum();
@@ -677,44 +592,25 @@ impl RandomForestRegressor {
                 1.0 - ss_res / ss_tot
             }
         });
-        self.importances = averaged_importances(&per_tree_imp, p);
-        self.trees = trees;
         Ok(())
     }
 }
 
-impl Regressor for RandomForestRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
-        self.fit_impl(x, y)
-    }
-}
-
-impl Predictor for RandomForestRegressor {
+impl<K> Predictor for RandomForest<K> {
     fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        let first = self.trees.first().ok_or(LearnError::NotFitted)?;
-        if x.len() != first.n_features() {
-            return Err(LearnError::Shape(format!(
-                "row has {} features, tree expects {}",
-                x.len(),
-                first.n_features()
-            )));
-        }
-        let sum = sum_trees(self.trees.iter().map(DecisionTreeRegressor::flat), x);
-        Ok(sum / self.trees.len() as f64)
+        self.ensemble.predict_row(x)
     }
 
     fn n_features(&self) -> usize {
-        self.trees.first().map_or(0, Predictor::n_features)
+        self.ensemble.n_features()
     }
 
     fn predict_batch(&self, x: MatrixView<'_>, out: &mut [f64]) -> Result<(), LearnError> {
-        let flats = self.flats();
-        let n_trees = flats.len() as f64;
-        predict_batch_flats(&flats, self.config.n_threads, x, out, |s| s / n_trees)
+        self.ensemble.predict_batch(self.config.n_threads, x, out)
     }
 
     fn leaf_table(&self, x: &Matrix) -> Option<LeafTable> {
-        LeafTable::build(&self.flats(), x, self.config.n_threads)
+        self.ensemble.leaf_table(x, self.config.n_threads)
     }
 
     fn predict_delta(
@@ -723,11 +619,8 @@ impl Predictor for RandomForestRegressor {
         x: &ColumnOverlay<'_>,
         out: &mut [f64],
     ) -> Result<(), LearnError> {
-        let flats = self.flats();
-        let n_trees = flats.len() as f64;
-        predict_delta_flats(&flats, self.config.n_threads, table, x, out, |s| {
-            s / n_trees
-        })
+        self.ensemble
+            .predict_delta(self.config.n_threads, table, x, out)
     }
 }
 
@@ -902,15 +795,37 @@ mod tests {
 
     #[test]
     fn errors_before_fit_and_on_bad_config() {
-        let f = RandomForestClassifier::default();
-        assert!(f.predict_row(&[0.0]).is_err());
-        assert!(f.feature_importances().is_err());
-        assert!(f.oob_accuracy().is_err());
-        let r = RandomForestRegressor::default();
-        assert!(r.predict_row(&[0.0]).is_err());
-        assert!(r.oob_r2().is_err());
-
+        use crate::binned::{GbdtClassifier, GbdtRegressor};
         let (x, y) = class_data(10, 9);
+        // An unfitted ensemble holds no trees: it scores nothing, builds
+        // no table, has no width and no importances, and a table built
+        // by a fitted model does not change that.
+        let mut fitted = RandomForestClassifier::with_trees(2, 0);
+        fitted.fit(&x, &y).unwrap();
+        let table = fitted.leaf_table(&x).unwrap();
+        let mut overlay = ColumnOverlay::new(&x);
+        overlay.map_col(0, |v| v * 2.0).unwrap();
+        let unfitted = |model: &dyn Predictor, importances: Result<&[f64], LearnError>| {
+            let mut out = vec![0.0; x.n_rows()];
+            assert!(model.predict_row(x.row(0)).is_err());
+            assert!(model.predict_batch((&x).into(), &mut out).is_err());
+            assert!(model.predict_delta(&table, &overlay, &mut out).is_err());
+            assert!(model.leaf_table(&x).is_none());
+            assert_eq!(model.n_features(), 0);
+            assert_eq!(importances, Err(LearnError::NotFitted));
+        };
+        let (fc, fr) = (
+            RandomForestClassifier::default(),
+            RandomForestRegressor::default(),
+        );
+        let (gc, gr) = (GbdtClassifier::default(), GbdtRegressor::default());
+        unfitted(&fc, fc.feature_importances());
+        unfitted(&fr, fr.feature_importances());
+        unfitted(&gc, gc.feature_importances());
+        unfitted(&gr, gr.feature_importances());
+        assert!(fc.oob_accuracy().is_err());
+        assert!(fr.oob_r2().is_err());
+
         let mut zero = RandomForestClassifier::with_trees(0, 0);
         assert!(zero.fit(&x, &y).is_err());
         let mut rr = RandomForestRegressor::with_trees(2, 0);
@@ -968,6 +883,27 @@ mod tests {
         let empty = Matrix::zeros(0, 2);
         let mut none: Vec<f64> = Vec::new();
         assert!(r.predict_batch((&empty).into(), &mut none).is_ok());
+    }
+
+    #[test]
+    fn a_tree_worker_panic_reaches_the_caller_with_its_message() {
+        let (x, _) = class_data(40, 1);
+        let config = ForestConfig {
+            n_trees: 8,
+            n_threads: 2,
+            ..ForestConfig::default()
+        };
+        let panic = std::panic::catch_unwind(|| {
+            fit_trees(&x, &config, |_, _| -> FlatTree {
+                panic!("tree growth failed")
+            })
+        })
+        .unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<&str>(),
+            Some(&"tree growth failed"),
+            "the worker's own payload, not a wrapper"
+        );
     }
 
     #[test]

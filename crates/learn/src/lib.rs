@@ -17,8 +17,13 @@
 //! * [`logistic`] — logistic regression via IRLS (Newton) — an
 //!   interpretable classifier baseline.
 //! * [`tree`] / [`forest`] — CART decision trees and bootstrap random
-//!   forests (classifier + regressor) with impurity feature importances
-//!   and out-of-bag scoring. Training uses presorted split finding
+//!   forests with impurity feature importances and out-of-bag scoring.
+//!   Every tree family is one type generic over a KPI-kind tag
+//!   ([`Binary`] or [`Continuous`]): [`DecisionTree`], [`RandomForest`]
+//!   and [`binned::Gbdt`], with the classifier and regressor names as
+//!   aliases (`RandomForestClassifier = RandomForest<Binary>`, ...), and
+//!   every ensemble predicts through one shared surface in [`forest`].
+//!   Training uses presorted split finding
 //!   (root-level per-feature sort columns partitioned stably down the
 //!   tree, no per-node sorts or allocations); fitted trees are stored
 //!   flattened (struct-of-arrays, u32 indices, leaf sentinel) and
@@ -34,9 +39,8 @@
 //! * [`binned`] — the histogram-binned training tier
 //!   ([`tree::Trainer::Binned`]): per-forest ≤256-bucket quantile
 //!   quantization, O(bins) split scans over per-node histograms, and
-//!   gradient-boosted ensembles
-//!   ([`binned::GbdtRegressor`] / [`binned::GbdtClassifier`]) on the
-//!   same machinery. Deterministic, but approximate — its contract is
+//!   gradient-boosted ensembles ([`binned::Gbdt`]) on the same
+//!   machinery. Deterministic, but approximate — its contract is
 //!   accuracy-within-ε, not bit-identity.
 //! * [`overlay`] — copy-on-write [`overlay::ColumnOverlay`] matrix
 //!   views, the zero-clone substrate of bulk scenario evaluation
@@ -60,12 +64,12 @@ pub mod shapley;
 pub mod split;
 pub mod tree;
 
-pub use binned::{GbdtClassifier, GbdtConfig, GbdtRegressor};
+pub use binned::{Gbdt, GbdtClassifier, GbdtConfig, GbdtRegressor};
 pub use delta::LeafTable;
-pub use forest::{RandomForestClassifier, RandomForestRegressor};
+pub use forest::{RandomForest, RandomForestClassifier, RandomForestRegressor};
 pub use linalg::Matrix;
 pub use linear::LinearRegression;
 pub use logistic::LogisticRegression;
-pub use model::{Classifier, LearnError, MatrixView, Predictor, Regressor};
+pub use model::{Binary, Classifier, Continuous, LearnError, MatrixView, Predictor, Regressor};
 pub use overlay::ColumnOverlay;
-pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, Trainer};
+pub use tree::{DecisionTree, DecisionTreeClassifier, DecisionTreeRegressor, Trainer};

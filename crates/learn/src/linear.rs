@@ -5,7 +5,9 @@
 //! regression coefficients, which live on the paper's `[-1, 1]` scale.
 
 use crate::linalg::{lstsq, Matrix};
-use crate::model::{check_batch_shape, LearnError, MatrixView, Predictor, Regressor};
+use crate::model::{
+    check_batch_shape, check_targets, LearnError, MatrixView, Predictor, Regressor,
+};
 use crate::overlay::overlay_linear_terms;
 
 /// Linear regression with an intercept, optional L2 (ridge) penalty.
@@ -98,13 +100,7 @@ fn std_of(xs: &[f64]) -> f64 {
 
 impl Regressor for LinearRegression {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
-        if y.len() != x.n_rows() {
-            return Err(LearnError::Shape(format!(
-                "{} targets for {} rows",
-                y.len(),
-                x.n_rows()
-            )));
-        }
+        check_targets(x, y)?;
         if x.n_rows() == 0 {
             return Err(LearnError::Invalid("cannot fit on zero rows".to_owned()));
         }

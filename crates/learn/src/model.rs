@@ -242,6 +242,40 @@ pub trait Classifier: Predictor {
     }
 }
 
+/// KPI-kind tag of a binary KPI. The tree families are generic over the
+/// kind they fit, and this one selects the classifiers:
+/// `DecisionTree<Binary>`, `RandomForest<Binary>` and `Gbdt<Binary>` are
+/// [`crate::DecisionTreeClassifier`], [`crate::RandomForestClassifier`]
+/// and [`crate::GbdtClassifier`]. Uninhabited: it only picks code at
+/// compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binary {}
+
+/// KPI-kind tag of a continuous KPI, selecting the regressors
+/// ([`crate::DecisionTreeRegressor`], [`crate::RandomForestRegressor`],
+/// [`crate::GbdtRegressor`]). Uninhabited, like [`Binary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Continuous {}
+
+/// Validate that `y` holds one target per row of `x`.
+pub(crate) fn check_targets(x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
+    if y.len() != x.n_rows() {
+        return Err(LearnError::Shape(format!(
+            "{} targets for {} rows",
+            y.len(),
+            x.n_rows()
+        )));
+    }
+    Ok(())
+}
+
+/// Validate 0/1 labels ([`check_binary_labels`]) and return them as the
+/// `f64` targets the tree trainers fold.
+pub(crate) fn binary_targets(x: &Matrix, y: &[u8]) -> Result<Vec<f64>, LearnError> {
+    check_binary_labels(x, y)?;
+    Ok(y.iter().map(|&v| f64::from(v)).collect())
+}
+
 /// Validate that `y` contains only 0/1 labels and matches `x`'s row count.
 pub(crate) fn check_binary_labels(x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
     if y.len() != x.n_rows() {

@@ -2,9 +2,10 @@
 //!
 //! These are the base learners of the random forests in [`crate::forest`].
 //! Split quality is Gini impurity for classification and variance (MSE)
-//! for regression; each tree accumulates impurity-decrease feature
-//! importances, which the forest averages into the paper's driver
-//! importances.
+//! for regression, the two `Criterion`s every grower is generic over;
+//! [`DecisionTree`] picks one by its KPI-kind tag. Each tree accumulates
+//! impurity-decrease feature importances, which the forest averages into
+//! the paper's driver importances.
 //!
 //! # Hot-path layout
 //!
@@ -27,8 +28,11 @@
 //! `docs/FOREST.md` for the determinism and tie-order contract.
 
 use crate::linalg::Matrix;
-use crate::model::{check_binary_labels, Classifier, LearnError, Predictor, Regressor};
+use crate::model::{
+    binary_targets, check_targets, Binary, Classifier, Continuous, LearnError, Predictor, Regressor,
+};
 use core::hint::select_unpredictable;
+use core::marker::PhantomData;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -725,7 +729,7 @@ fn scan_entries<C: Criterion>(
 /// accumulation (node aggregates, leaf values, MSE boundary scans) —
 /// this is what makes the presorted trainer bit-identical rather than
 /// merely equivalent.
-struct Grow<'a, C: Criterion> {
+pub(crate) struct Grow<'a, C: Criterion> {
     config: &'a TreeConfig,
     /// Sample size (slots are `0..n`).
     n: usize,
@@ -763,12 +767,15 @@ struct Grow<'a, C: Criterion> {
 }
 
 impl<'a, C: Criterion> Grow<'a, C> {
-    fn build(
+    /// Grow one exact tree over `sample`, reading the sort order from
+    /// `full` (built from the same `x` and `y`). The caller has checked
+    /// the inputs and the sample.
+    pub(crate) fn build(
         x: &Matrix,
         y: &[f64],
         sample: &[usize],
         config: &'a TreeConfig,
-        presort: Option<&FullPresort>,
+        full: &FullPresort,
     ) -> FlatTree {
         let n = sample.len();
         let p = x.n_cols();
@@ -785,14 +792,6 @@ impl<'a, C: Criterion> Grow<'a, C> {
             }
             ys[slot] = y[row];
         }
-        let own_presort;
-        let full = match presort {
-            Some(f) => f,
-            None => {
-                own_presort = FullPresort::new(x, y);
-                &own_presort
-            }
-        };
         // Derive the sample's per-feature sorted entry columns from the
         // shared full-dataset ranks with one branch-free counting scatter
         // per feature. Entry tie order within equal values differs from
@@ -1212,7 +1211,7 @@ impl<'a, C: Criterion> Grow<'a, C> {
 }
 
 /// Normalize importances to sum to 1 (leaves zeros untouched).
-fn normalize(importances: &mut [f64]) {
+pub(crate) fn normalize(importances: &mut [f64]) {
     let total: f64 = importances.iter().sum();
     if total > 0.0 {
         for v in importances.iter_mut() {
@@ -1221,55 +1220,50 @@ fn normalize(importances: &mut [f64]) {
     }
 }
 
-/// A single CART classification tree (binary labels, Gini splits).
-/// Predictions are class-1 probabilities (leaf positive fractions).
+/// A single CART tree for KPI kind `K`: for [`Binary`] a classifier
+/// ([`DecisionTreeClassifier`]: Gini splits, predictions are class-1
+/// probabilities, the leaf's positive fraction), for [`Continuous`] a
+/// regressor ([`DecisionTreeRegressor`]: variance splits, mean leaves).
 #[derive(Debug, Clone)]
-pub struct DecisionTreeClassifier {
+pub struct DecisionTree<K> {
     /// Tree hyperparameters.
     pub config: TreeConfig,
     fitted: Option<FlatTree>,
+    /// The tag only selects code; `fn() -> K` keeps the tree `Send` and
+    /// `Sync` whatever `K` is.
+    kind: PhantomData<fn() -> K>,
 }
 
-impl Default for DecisionTreeClassifier {
+/// A CART classification tree: binary labels, Gini splits.
+pub type DecisionTreeClassifier = DecisionTree<Binary>;
+
+/// A CART regression tree: variance splits, mean leaves.
+pub type DecisionTreeRegressor = DecisionTree<Continuous>;
+
+impl<K> Default for DecisionTree<K> {
     fn default() -> Self {
-        DecisionTreeClassifier::new(TreeConfig::default())
+        DecisionTree::new(TreeConfig::default())
     }
 }
 
-impl DecisionTreeClassifier {
+impl<K> DecisionTree<K> {
     /// Tree with the given hyperparameters.
     pub fn new(config: TreeConfig) -> Self {
-        DecisionTreeClassifier {
+        DecisionTree {
             config,
             fitted: None,
+            kind: PhantomData,
         }
     }
 
-    /// Fit over an explicit row sample (used by forests for bootstraps).
-    ///
-    /// # Errors
-    /// [`LearnError`] on shape/label problems or NaN feature cells.
-    pub fn fit_on_sample(
+    /// Grow the tree with criterion `C` over `sample`, once the caller
+    /// has checked `y`.
+    fn fit_sample<C: Criterion>(
         &mut self,
         x: &Matrix,
-        y: &[u8],
+        y: &[f64],
         sample: &[usize],
     ) -> Result<(), LearnError> {
-        check_no_nan_features(x)?;
-        self.fit_on_sample_with(x, y, sample, None)
-    }
-
-    /// Exact presorted fit; NaN screening is the caller's job (the
-    /// forest screens the matrix once instead of once per tree), and a
-    /// forest-level [`FullPresort`] avoids per-tree full sorts.
-    pub(crate) fn fit_on_sample_with(
-        &mut self,
-        x: &Matrix,
-        y: &[u8],
-        sample: &[usize],
-        presort: Option<&FullPresort>,
-    ) -> Result<(), LearnError> {
-        check_binary_labels(x, y)?;
         if sample.is_empty() {
             return Err(LearnError::Invalid("empty training sample".to_owned()));
         }
@@ -1278,21 +1272,13 @@ impl DecisionTreeClassifier {
                 "sample index {bad} out of range"
             )));
         }
-        let yf: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
-        self.fitted = Some(Grow::<Gini>::build(x, &yf, sample, &self.config, presort));
+        let presort = FullPresort::new(x, y);
+        self.fitted = Some(Grow::<C>::build(x, y, sample, &self.config, &presort));
         Ok(())
     }
 
-    /// Wrap an externally grown tree (the forest's binned tier grows
-    /// [`FlatTree`]s directly against a shared binned dataset).
-    pub(crate) fn from_flat(config: TreeConfig, flat: FlatTree) -> Self {
-        DecisionTreeClassifier {
-            config,
-            fitted: Some(flat),
-        }
-    }
-
-    /// The flattened fitted tree, for the forest's batched traversals.
+    /// The flattened fitted tree.
+    #[cfg(test)]
     pub(crate) fn flat(&self) -> Option<&FlatTree> {
         self.fitted.as_ref()
     }
@@ -1317,50 +1303,27 @@ impl DecisionTreeClassifier {
     }
 }
 
-impl Classifier for DecisionTreeClassifier {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
-        let all: Vec<usize> = (0..x.n_rows()).collect();
-        self.fit_on_sample(x, y, &all)
+impl DecisionTree<Binary> {
+    /// Fit over an explicit row sample (bootstrap-style, duplicates
+    /// allowed).
+    ///
+    /// # Errors
+    /// [`LearnError`] on shape/label problems or NaN feature cells.
+    pub fn fit_on_sample(
+        &mut self,
+        x: &Matrix,
+        y: &[u8],
+        sample: &[usize],
+    ) -> Result<(), LearnError> {
+        check_no_nan_features(x)?;
+        let targets = binary_targets(x, y)?;
+        self.fit_sample::<Gini>(x, &targets, sample)
     }
 }
 
-impl Predictor for DecisionTreeClassifier {
-    fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
-        self.fitted
-            .as_ref()
-            .ok_or(LearnError::NotFitted)?
-            .predict_row(x)
-    }
-
-    fn n_features(&self) -> usize {
-        self.fitted.as_ref().map_or(0, FlatTree::n_features)
-    }
-}
-
-/// A single CART regression tree (variance splits, mean leaves).
-#[derive(Debug, Clone)]
-pub struct DecisionTreeRegressor {
-    /// Tree hyperparameters.
-    pub config: TreeConfig,
-    fitted: Option<FlatTree>,
-}
-
-impl Default for DecisionTreeRegressor {
-    fn default() -> Self {
-        DecisionTreeRegressor::new(TreeConfig::default())
-    }
-}
-
-impl DecisionTreeRegressor {
-    /// Tree with the given hyperparameters.
-    pub fn new(config: TreeConfig) -> Self {
-        DecisionTreeRegressor {
-            config,
-            fitted: None,
-        }
-    }
-
-    /// Fit over an explicit row sample (used by forests for bootstraps).
+impl DecisionTree<Continuous> {
+    /// Fit over an explicit row sample (bootstrap-style, duplicates
+    /// allowed).
     ///
     /// # Errors
     /// [`LearnError`] on shape problems or NaN feature cells.
@@ -1371,80 +1334,26 @@ impl DecisionTreeRegressor {
         sample: &[usize],
     ) -> Result<(), LearnError> {
         check_no_nan_features(x)?;
-        self.fit_on_sample_with(x, y, sample, None)
-    }
-
-    /// Exact presorted fit; NaN screening is the caller's job (the
-    /// forest screens the matrix once instead of once per tree), and a
-    /// forest-level [`FullPresort`] avoids per-tree full sorts.
-    pub(crate) fn fit_on_sample_with(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        sample: &[usize],
-        presort: Option<&FullPresort>,
-    ) -> Result<(), LearnError> {
-        if y.len() != x.n_rows() {
-            return Err(LearnError::Shape(format!(
-                "{} targets for {} rows",
-                y.len(),
-                x.n_rows()
-            )));
-        }
-        if sample.is_empty() {
-            return Err(LearnError::Invalid("empty training sample".to_owned()));
-        }
-        if let Some(&bad) = sample.iter().find(|&&i| i >= x.n_rows()) {
-            return Err(LearnError::Invalid(format!(
-                "sample index {bad} out of range"
-            )));
-        }
-        self.fitted = Some(Grow::<Mse>::build(x, y, sample, &self.config, presort));
-        Ok(())
-    }
-
-    /// Wrap an externally grown tree (the forest's binned tier grows
-    /// [`FlatTree`]s directly against a shared binned dataset).
-    pub(crate) fn from_flat(config: TreeConfig, flat: FlatTree) -> Self {
-        DecisionTreeRegressor {
-            config,
-            fitted: Some(flat),
-        }
-    }
-
-    /// The flattened fitted tree, for the forest's batched traversals.
-    pub(crate) fn flat(&self) -> Option<&FlatTree> {
-        self.fitted.as_ref()
-    }
-
-    /// Normalized impurity feature importances.
-    ///
-    /// # Errors
-    /// [`LearnError::NotFitted`] before fit.
-    pub fn feature_importances(&self) -> Result<Vec<f64>, LearnError> {
-        let f = self.fitted.as_ref().ok_or(LearnError::NotFitted)?;
-        let mut imp = f.importances.clone();
-        normalize(&mut imp);
-        Ok(imp)
-    }
-
-    /// Depth of the fitted tree.
-    ///
-    /// # Errors
-    /// [`LearnError::NotFitted`] before fit.
-    pub fn depth(&self) -> Result<usize, LearnError> {
-        Ok(self.fitted.as_ref().ok_or(LearnError::NotFitted)?.depth)
+        check_targets(x, y)?;
+        self.fit_sample::<Mse>(x, y, sample)
     }
 }
 
-impl Regressor for DecisionTreeRegressor {
+impl Classifier for DecisionTree<Binary> {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) -> Result<(), LearnError> {
+        let all: Vec<usize> = (0..x.n_rows()).collect();
+        self.fit_on_sample(x, y, &all)
+    }
+}
+
+impl Regressor for DecisionTree<Continuous> {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), LearnError> {
         let all: Vec<usize> = (0..x.n_rows()).collect();
         self.fit_on_sample(x, y, &all)
     }
 }
 
-impl Predictor for DecisionTreeRegressor {
+impl<K> Predictor for DecisionTree<K> {
     fn predict_row(&self, x: &[f64]) -> Result<f64, LearnError> {
         self.fitted
             .as_ref()

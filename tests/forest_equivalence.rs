@@ -567,16 +567,20 @@ fn nan_cell_yields_clean_error_everywhere() {
 }
 
 /// Golden model fingerprints on [`training_data`] (xorshift, no libm
-/// calls), recorded before the seed trainer moved out of `whatif-learn`.
-/// A fingerprint hashes the training predictions and the holdout
+/// calls). A fingerprint hashes the training predictions and the holdout
 /// confidence, so any drift in the exact tier, the binned tier or GBDT
-/// changes it — including the two the seed oracle cannot see. The GBDT
-/// classifier is left out: its logistic loss calls `exp` and `ln`, whose
-/// last bits depend on the platform's libm.
+/// changes it — including the two the seed oracle cannot see. The forest
+/// and GBDT values were recorded before the seed trainer moved out of
+/// `whatif-learn`, the linear pair (which pins the coefficients through
+/// the model backend) before the tree families became generic over the
+/// KPI kind. The linear fit calls no libm function but the correctly
+/// rounded `sqrt`. The GBDT classifier and the logistic model are left
+/// out: they call `exp` and `ln`, whose last bits depend on the
+/// platform's libm.
 #[test]
 fn golden_model_fingerprints() {
     use whatif::core::model_backend::TrainerTier;
-    const GOLDEN: [(&str, u128); 14] = [
+    const GOLDEN: [(&str, u128); 16] = [
         (
             "forest/continuous/exact/seed5",
             0x5e44d1bc67e2fcfbc3a9efb20b84c78e,
@@ -603,6 +607,10 @@ fn golden_model_fingerprints() {
         ),
         ("gbdt/continuous/seed5", 0x18239d408c2dfddbf0f2240f0bb869ee),
         (
+            "linear/continuous/seed5",
+            0x4a5ae1cc383e1359ec1dfe8e354afaf7,
+        ),
+        (
             "forest/continuous/exact/seed77",
             0xf848defaad3e956b458d657f24ee0b5c,
         ),
@@ -627,6 +635,10 @@ fn golden_model_fingerprints() {
             0x7c8a11e47dcdfc4c73fb1d1cd356362f,
         ),
         ("gbdt/continuous/seed77", 0x1041e3164c90dae7e35dbb1683347c6a),
+        (
+            "linear/continuous/seed77",
+            0xfc8dd9d26baf1e461397683171cb7dd2,
+        ),
     ];
     let names: Vec<String> = (0..FEATURES).map(|j| format!("d{j}")).collect();
     let fingerprint = |x: &Matrix, y: &[f64], kpi_kind, config: ModelConfig| {
@@ -671,6 +683,13 @@ fn golden_model_fingerprints() {
             ..ModelConfig::default()
         };
         let name = format!("gbdt/continuous/seed{seed}");
+        got.push((name, fingerprint(&x, &y, KpiKind::Continuous, config)));
+        let config = ModelConfig {
+            kind: ModelKind::Linear,
+            seed,
+            ..ModelConfig::default()
+        };
+        let name = format!("linear/continuous/seed{seed}");
         got.push((name, fingerprint(&x, &y, KpiKind::Continuous, config)));
     }
     let table: String = got
