@@ -1,16 +1,24 @@
 //! Model-fit latency: interpretable linear/logistic models vs random
 //! forests — the cost side of the paper's §5 interpretability-vs-
-//! accuracy trade-off — plus the forest's two training tiers (exact
-//! presorted vs histogram-binned) on the same data.
+//! accuracy trade-off — plus the forest's training paths:
+//!
+//! * `train_forest/presorted`: the exact tier on the deal-closing
+//!   data, whose drivers have a dozen or so distinct values each, so its
+//!   Gini trees grow on value-class histograms;
+//! * `train_forest/presorted_high_cardinality`: the exact tier on
+//!   continuous features with hundreds of distinct values each, more
+//!   than 256, so its trees take the presorted grower;
+//! * `train_forest/binned`: the histogram-binned tier on the
+//!   deal-closing data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use whatif_core::model_backend::{ModelConfig, ModelKind};
 use whatif_core::session::Session;
-use whatif_datagen::{deal_closing, make_classification, make_regression};
+use whatif_datagen::{deal_closing, make_classification, make_regression, Dataset};
 use whatif_learn::forest::ForestConfig;
 use whatif_learn::tree::TreeConfig;
-use whatif_learn::{Classifier as _, RandomForestClassifier, Trainer};
+use whatif_learn::{Classifier as _, Matrix, RandomForestClassifier, Trainer};
 
 fn config(kind: ModelKind, n_trees: usize) -> ModelConfig {
     ModelConfig {
@@ -21,11 +29,8 @@ fn config(kind: ModelKind, n_trees: usize) -> ModelConfig {
     }
 }
 
-/// The forest's two training tiers on the deal-closing data: the exact
-/// presorted trainer (bit-identical to the seed CART, pinned by
-/// `tests/forest_equivalence.rs`) and the histogram-binned tier.
-fn bench_trainer_paths(c: &mut Criterion) {
-    let dataset = deal_closing(600, 7);
+/// The training matrix and 0/1 labels a session builds from `dataset`.
+fn matrix_and_labels(dataset: &Dataset) -> (Matrix, Vec<u8>) {
     let session = Session::new(dataset.frame.clone())
         .with_kpi(&dataset.kpi)
         .expect("kpi");
@@ -37,12 +42,20 @@ fn bench_trainer_paths(c: &mut Criterion) {
             ..ModelConfig::default()
         })
         .expect("fit");
-    let x = model.matrix().clone();
-    let labels: Vec<u8> = model
+    let labels = model
         .targets()
         .iter()
         .map(|&v| u8::from(v >= 0.5))
         .collect();
+    (model.matrix().clone(), labels)
+}
+
+/// The forest's training paths (module docs). The exact tier is
+/// bit-identical to the seed CART on either grower, pinned by
+/// `tests/forest_equivalence.rs`.
+fn bench_trainer_paths(c: &mut Criterion) {
+    let deals = matrix_and_labels(&deal_closing(600, 7));
+    let continuous = matrix_and_labels(&make_classification(600, 12, 6, 0.5, 7));
     let config = ForestConfig {
         n_trees: 24,
         tree: TreeConfig {
@@ -53,30 +66,29 @@ fn bench_trainer_paths(c: &mut Criterion) {
         n_threads: 4,
         ..ForestConfig::default()
     };
+    let binned = ForestConfig {
+        trainer: Trainer::Binned,
+        ..config.clone()
+    };
 
     let mut group = c.benchmark_group("train_forest");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    group.bench_function("presorted", |b| {
-        b.iter(|| {
-            let mut f = RandomForestClassifier::new(config.clone());
-            f.fit(&x, &labels).expect("fit");
-            f
-        })
-    });
-    group.bench_function("binned", |b| {
-        let config = ForestConfig {
-            trainer: Trainer::Binned,
-            ..config.clone()
-        };
-        b.iter(|| {
-            let mut f = RandomForestClassifier::new(config.clone());
-            f.fit(&x, &labels).expect("fit");
-            f
-        })
-    });
+    for (name, config, (x, labels)) in [
+        ("presorted", &config, &deals),
+        ("presorted_high_cardinality", &config, &continuous),
+        ("binned", &binned, &deals),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut f = RandomForestClassifier::new(config.clone());
+                f.fit(x, labels).expect("fit");
+                f
+            })
+        });
+    }
     group.finish();
 }
 

@@ -29,6 +29,14 @@
 //! within ε of exact — see `tests/binned_accuracy.rs`), not
 //! equivalence.
 //!
+//! The exact tier borrows the grower for Gini forests whose features
+//! have at most [`MAX_BINS`] distinct values each: there every bin is a
+//! value class, and with the exact tier's midpoint thresholds the
+//! histogram grower grows its trees bit for bit (`docs/FOREST.md`,
+//! "Training"). Gini trees partition their rows with a stable
+//! two-stream split; MSE trees keep the swap loop their f64 bin sums'
+//! fold order depends on.
+//!
 //! The same machinery powers [`Gbdt`] ([`GbdtRegressor`] /
 //! [`GbdtClassifier`]): sequential shallow binned trees fit to residuals
 //! (least squares) or logistic gradients, with shrinkage and early
@@ -47,8 +55,8 @@ use crate::model::{
 use crate::overlay::ColumnOverlay;
 use crate::split::train_test_split;
 use crate::tree::{
-    check_no_nan_features, entry_class, leaf_meta, normalize, Criterion, FlatTree, FullPresort,
-    Mse, TreeConfig,
+    check_no_nan_features, entry_class, leaf_meta, normalize, stable_partition, Criterion,
+    FlatTree, FullPresort, Mse, TreeConfig,
 };
 use core::marker::PhantomData;
 use rand::rngs::StdRng;
@@ -62,7 +70,8 @@ pub const MAX_BINS: usize = 256;
 /// values that map bins back to `x <= t` thresholds.
 ///
 /// Built once from a [`FullPresort`] and shared (immutably) by every
-/// tree worker; a tree only ever reads `bins` rows and `cuts`.
+/// tree worker; a tree only ever reads `bins` rows, `cuts` and
+/// `values`.
 #[derive(Debug)]
 pub(crate) struct BinnedDataset {
     /// Row-major bin ids, indexed `row * p + feature`.
@@ -74,6 +83,11 @@ pub(crate) struct BinnedDataset {
     /// iff its bin id `<= b` iff its value `<= cuts[offsets[f] + b]`.
     /// The last bin of each feature carries `+∞` (never a split).
     cuts: Vec<f64>,
+    /// Per bin (indexed like `cuts`), the value of one of its rows: the
+    /// bin's one value when [`Self::bins_are_classes`].
+    values: Vec<f64>,
+    /// Whether every bin of every feature holds exactly one value class.
+    bins_are_classes: bool,
     n_rows: usize,
     p: usize,
 }
@@ -85,7 +99,8 @@ impl BinnedDataset {
     /// the per-distinct-value run counts (and one representative row
     /// per distinct value); [`quantile_run_bins`] turns those into
     /// equal-count bin ids. No additional sorting happens here — the
-    /// forest's existing presort already paid for it.
+    /// forest's existing presort already paid for it. A feature with at
+    /// most `max_bins` distinct values gets one bin per value.
     pub(crate) fn from_presort(
         x: &Matrix,
         presort: &FullPresort,
@@ -98,6 +113,8 @@ impl BinnedDataset {
         let mut offsets = Vec::with_capacity(p + 1);
         offsets.push(0u32);
         let mut cuts: Vec<f64> = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
+        let mut bins_are_classes = true;
         let mut counts: Vec<usize> = Vec::new();
         let mut rep: Vec<u32> = Vec::new();
         for f in 0..p {
@@ -118,8 +135,13 @@ impl BinnedDataset {
             for (row, &m) in packed.iter().enumerate() {
                 bins[row * p + f] = bin_of[entry_class(m) as usize] as u8;
             }
+            bins_are_classes &= nb == counts.len();
             let cut_base = cuts.len();
             cuts.resize(cut_base + nb, f64::INFINITY);
+            values.resize(cut_base + nb, 0.0);
+            for (c, &r) in rep.iter().enumerate() {
+                values[cut_base + bin_of[c] as usize] = x.get(r as usize, f);
+            }
             for c in 0..counts.len().saturating_sub(1) {
                 if bin_of[c + 1] != bin_of[c] {
                     let hi = x.get(rep[c] as usize, f);
@@ -140,9 +162,18 @@ impl BinnedDataset {
             bins,
             offsets,
             cuts,
+            values,
+            bins_are_classes,
             n_rows: n,
             p,
         }
+    }
+
+    /// Whether every bin of every feature holds exactly one value class:
+    /// true iff no feature has more distinct values than the bins the
+    /// dataset was built with.
+    pub(crate) fn bins_are_classes(&self) -> bool {
+        self.bins_are_classes
     }
 
     /// Bin count of one feature.
@@ -164,21 +195,39 @@ impl BinnedDataset {
     }
 }
 
+/// How a histogram tree turns a winning bin boundary into the `x <= t`
+/// threshold its node stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Thresholds {
+    /// The dataset's per-bin `cuts`, fixed once per forest: the binned
+    /// tier and GBDT.
+    Cuts,
+    /// The exact tier's threshold: the midpoint of the boundary bin's
+    /// value and the value of the node's next non-empty bin. Only for
+    /// datasets whose bins are value classes
+    /// ([`BinnedDataset::bins_are_classes`]).
+    Midpoints,
+}
+
 /// The winning boundary of one node's prefix walk.
 struct BestSplit<A> {
     feature: usize,
-    /// Rows with bin id `<= split_bin` go left.
-    split_bin: u8,
+    /// Rows with a bin id below `left_bins` go left.
+    left_bins: usize,
     /// The equivalent `x <= t` threshold for prediction.
     threshold: f64,
     gain: f64,
-    left: A,
+    /// The left side's aggregate, or `None` when the threshold sends
+    /// the node's rows across the boundary it was found at (a midpoint
+    /// that rounded onto the next value, or overflowed), so that the
+    /// partition has to recount it.
+    left: Option<A>,
 }
 
 /// A bootstrap-sample slot: the source row (for bin-matrix lookups)
 /// paired with its target, kept together so node scans stream one
 /// contiguous array.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Entry {
     row: u32,
     y: f64,
@@ -194,16 +243,27 @@ struct Entry {
 /// walks each histogram's ≤[`MAX_BINS`] entries — so a node's split
 /// costs O(rows·k + k·bins) instead of the exact tier's per-feature
 /// value scans plus an O(rows·p) column partition.
+///
+/// On a dataset whose bins are value classes, with the Gini criterion
+/// and [`Thresholds::Midpoints`], it grows the exact tier's trees bit
+/// for bit: counts do not depend on fold order, the candidate
+/// boundaries are the exact scan's class changes in the same order,
+/// and the thresholds and the routing are the exact grower's
+/// (`docs/FOREST.md`, "Training").
 struct BinnedGrow<'a, C: Criterion> {
     data: &'a BinnedDataset,
     config: &'a TreeConfig,
+    thresholds: Thresholds,
     /// Features considered per split.
     k: usize,
-    /// One record per bootstrap slot, partitioned in place down the
-    /// tree: keeping the source row and its target side by side makes
-    /// the histogram pass a single sequential read of the node's range
-    /// (no per-row gathers through separate slot/target arrays).
+    /// One record per bootstrap slot, partitioned down the tree:
+    /// keeping the source row and its target side by side makes the
+    /// histogram pass a single sequential read of the node's range (no
+    /// per-row gathers through separate slot/target arrays).
     entries: Vec<Entry>,
+    /// The right side's entries during a stable partition (order-free
+    /// criteria only; empty otherwise).
+    spill: Vec<Entry>,
     rng: StdRng,
     /// Reused feature-subsample buffer (partial Fisher–Yates).
     feat_buf: Vec<usize>,
@@ -217,6 +277,15 @@ struct BinnedGrow<'a, C: Criterion> {
     thresh: Vec<f64>,
     importances: Vec<f64>,
     max_depth_seen: usize,
+}
+
+/// The aggregate of `entries`, folded in order.
+fn fold<C: Criterion>(entries: &[Entry]) -> C::Agg {
+    let mut agg = C::empty();
+    for e in entries {
+        C::add(&mut agg, e.y);
+    }
+    agg
 }
 
 impl<C: Criterion> BinnedGrow<'_, C> {
@@ -244,40 +313,81 @@ impl<C: Criterion> BinnedGrow<'_, C> {
         let Some(best) = self.best_split(start, end, &agg) else {
             return self.push_leaf(C::leaf_value(&agg));
         };
-        let right_agg = C::subtract_lossy(&agg, &best.left);
         let feature = best.feature;
+        let split_at = self.partition(start, end, feature, best.left_bins);
+        let left_agg = best
+            .left
+            .unwrap_or_else(|| fold::<C>(&self.entries[start..split_at]));
+        debug_assert_eq!(split_at - start, C::count(&left_agg));
+        // The presorted grower's check. It can only fail when the
+        // threshold moved rows across the boundary, and then the node
+        // becomes a leaf there too.
+        let min_leaf = self.config.min_samples_leaf;
+        if split_at - start < min_leaf || end - split_at < min_leaf {
+            return self.push_leaf(C::leaf_value(&agg));
+        }
+        let right_agg = C::subtract_lossy(&agg, &left_agg);
 
-        // Partition `entries` in place by bin id — branchless element
-        // dance (a ~50/50 branch would mispredict its way down the
-        // tree).
-        let split_at = {
-            let p = self.data.p;
-            let bins = &self.data.bins;
+        self.importances[feature] += best.gain * n as f64 / self.n_total;
+        // Reserve the parent slot before recursing so child indices are
+        // stable; the left child is the next node pushed.
+        let placeholder = self.push_leaf(0.0);
+        self.grow(start, split_at, depth + 1, left_agg);
+        let right = self.grow(split_at, end, depth + 1, right_agg);
+        let slot = placeholder as usize;
+        self.meta[slot] = (u64::from(right) << 32) | feature as u64;
+        self.thresh[slot] = best.threshold;
+        placeholder
+    }
+
+    /// Partition `entries[start..end]` so that the rows whose bin id on
+    /// `feature` is below `left_bins` come first; returns where the
+    /// right side starts. Both loops are branchless: a ~50/50 branch
+    /// would mispredict its way down the tree.
+    fn partition(&mut self, start: usize, end: usize, feature: usize, left_bins: usize) -> usize {
+        let data = self.data;
+        let goes_left =
+            |e: Entry| usize::from(data.bins[e.row as usize * data.p + feature]) < left_bins;
+        if C::ORDER_SENSITIVE {
+            // f64 histogram sums fold in entry order, so MSE trees keep
+            // the in-place swap loop that fixes that order.
             let mut lo = start;
             let mut hi = end;
             while lo < hi {
                 let a = self.entries[lo];
                 let b = self.entries[hi - 1];
-                let left = bins[a.row as usize * p + feature] <= best.split_bin;
+                let left = goes_left(a);
                 self.entries[lo] = if left { a } else { b };
                 self.entries[hi - 1] = if left { b } else { a };
                 lo += usize::from(left);
                 hi -= usize::from(!left);
             }
             lo
-        };
-        debug_assert_eq!(split_at - start, C::count(&best.left));
+        } else {
+            // Counts fold in any order: the presorted grower's stable
+            // split, whose loads do not wait on the previous compare.
+            start + stable_partition(&mut self.entries[start..end], &mut self.spill, goes_left)
+        }
+    }
 
-        self.importances[feature] += best.gain * n as f64 / self.n_total;
-        // Reserve the parent slot before recursing so child indices are
-        // stable; the left child is the next node pushed.
-        let placeholder = self.push_leaf(0.0);
-        self.grow(start, split_at, depth + 1, best.left);
-        let right = self.grow(split_at, end, depth + 1, right_agg);
-        let slot = placeholder as usize;
-        self.meta[slot] = (u64::from(right) << 32) | feature as u64;
-        self.thresh[slot] = best.threshold;
-        placeholder
+    /// The threshold of the boundary after bin `s` of the feature whose
+    /// `nb` bins start at `off`, where `next` is the node's next
+    /// non-empty bin, and how it routes: rows with a bin id below the
+    /// returned count go left.
+    fn threshold(&self, off: usize, nb: usize, s: usize, next: usize) -> (f64, usize) {
+        match self.thresholds {
+            Thresholds::Cuts => (self.data.cuts[off + s], s + 1),
+            Thresholds::Midpoints => {
+                // `x <= t` sends a whole value class one way, so it
+                // routes by bin id too, below the classes' partition
+                // point (values ascend by bin). A sum that overflows, or
+                // a midpoint that rounds onto `values[next]`, moves
+                // that point out of `s + 1..=next`.
+                let values = &self.data.values[off..off + nb];
+                let t = (values[s] + values[next]) / 2.0;
+                (t, values.partition_point(|&v| v <= t))
+            }
+        }
     }
 
     /// Best boundary over a freshly sampled feature subset: reset the
@@ -334,45 +444,49 @@ impl<C: Criterion> BinnedGrow<'_, C> {
         for (j, &feature) in self.feat_buf[..k].iter().enumerate() {
             let off = self.data.offsets[feature] as usize;
             let nb = self.data.offsets[feature + 1] as usize - off;
-            if nb < 2 {
-                continue; // globally constant feature
-            }
             let h = &self.hist[j * MAX_BINS..j * MAX_BINS + nb];
             let mut left = C::empty();
-            for (b, agg) in h[..nb - 1].iter().enumerate() {
-                // An empty bin leaves the partition unchanged, so the
-                // boundary after it duplicates the previous candidate
-                // (keep-first tie handling would discard it anyway) —
-                // and deep nodes have mostly-empty histograms.
+            // The last non-empty bin folded into `left`: the next
+            // non-empty bin closes the candidate boundary after it. An
+            // empty bin leaves the partition unchanged, so a boundary
+            // after it would duplicate the previous candidate (keep-first
+            // tie handling would discard it anyway) — and deep nodes
+            // have mostly-empty histograms.
+            let mut last = None;
+            for (b, agg) in h.iter().enumerate() {
                 if C::count(agg) == 0 {
                     continue;
                 }
+                if let Some(s) = last {
+                    let nl = C::count(&left);
+                    let nr = total - nl;
+                    if nl >= min_leaf && nr >= min_leaf {
+                        let right = C::subtract_lossy(parent_agg, &left);
+                        let weighted =
+                            (nl as f64 * C::impurity(&left) + nr as f64 * C::impurity(&right)) / n;
+                        let gain = parent_impurity - weighted;
+                        // Zero-gain splits are accepted like the exact
+                        // scan (greedy CART needs them past XOR-style
+                        // interactions); strict `>` keeps the first
+                        // best, deterministically.
+                        if gain >= 0.0 && gain > best_gain {
+                            best_gain = gain;
+                            let (threshold, left_bins) = self.threshold(off, nb, s, b);
+                            best = Some(BestSplit {
+                                feature,
+                                left_bins,
+                                threshold,
+                                gain,
+                                left: (s < left_bins && left_bins <= b).then(|| left.clone()),
+                            });
+                        }
+                    }
+                }
                 C::merge(&mut left, agg);
-                let nl = C::count(&left);
-                let nr = total - nl;
-                if nr == 0 {
-                    break; // suffix empty: no boundary left
+                if C::count(&left) == total {
+                    break; // no non-empty bin left
                 }
-                if nl < min_leaf || nr < min_leaf {
-                    continue;
-                }
-                let right = C::subtract_lossy(parent_agg, &left);
-                let weighted =
-                    (nl as f64 * C::impurity(&left) + nr as f64 * C::impurity(&right)) / n;
-                let gain = parent_impurity - weighted;
-                // Zero-gain splits are accepted like the exact scan
-                // (greedy CART needs them past XOR-style interactions);
-                // strict `>` keeps the first best, deterministically.
-                if gain >= 0.0 && gain > best_gain {
-                    best_gain = gain;
-                    best = Some(BestSplit {
-                        feature,
-                        split_bin: b as u8,
-                        threshold: self.data.cuts[off + b],
-                        gain,
-                        left: left.clone(),
-                    });
-                }
+                last = Some(b);
             }
         }
         best
@@ -380,21 +494,26 @@ impl<C: Criterion> BinnedGrow<'_, C> {
 }
 
 /// Grow one histogram-binned tree over a bootstrap `sample` against a
-/// shared [`BinnedDataset`]. Deterministic for a fixed `config.seed`.
+/// shared [`BinnedDataset`], with its split thresholds from
+/// `thresholds`. Deterministic for a fixed `config.seed`.
 pub(crate) fn grow_binned<C: Criterion>(
     data: &BinnedDataset,
     y: &[f64],
     sample: &[usize],
     config: &TreeConfig,
+    thresholds: Thresholds,
 ) -> FlatTree {
     let n = sample.len();
     let p = data.p;
     assert!(n < (1usize << 31), "sample too large for packed slots");
     debug_assert!(sample.iter().all(|&r| r < data.n_rows));
+    debug_assert!(thresholds == Thresholds::Cuts || data.bins_are_classes);
     let k = config.max_features.unwrap_or(p).clamp(1, p);
+    let spill_len = if C::ORDER_SENSITIVE { 0 } else { n };
     let mut g = BinnedGrow::<C> {
         data,
         config,
+        thresholds,
         k,
         entries: sample
             .iter()
@@ -403,6 +522,7 @@ pub(crate) fn grow_binned<C: Criterion>(
                 y: y[r],
             })
             .collect(),
+        spill: vec![Entry::default(); spill_len],
         rng: StdRng::seed_from_u64(config.seed),
         feat_buf: (0..p).collect(),
         n_total: n as f64,
@@ -412,10 +532,7 @@ pub(crate) fn grow_binned<C: Criterion>(
         importances: vec![0.0; p],
         max_depth_seen: 0,
     };
-    let mut root = C::empty();
-    for e in &g.entries {
-        C::add(&mut root, e.y);
-    }
+    let root = fold::<C>(&g.entries);
     g.grow(0, n, 0, root);
     FlatTree::from_parts(g.meta, g.thresh, p, g.importances, g.max_depth_seen)
 }
@@ -555,7 +672,7 @@ fn fit_gbdt(
         }
         let mut tree_cfg = tree_cfg_template.clone();
         tree_cfg.seed = master.gen();
-        let mut tree = grow_binned::<Mse>(&data, &grad, &train, &tree_cfg);
+        let mut tree = grow_binned::<Mse>(&data, &grad, &train, &tree_cfg, Thresholds::Cuts);
         tree.scale_leaves(cfg.learning_rate);
         for (i, s) in score.iter_mut().enumerate() {
             *s += tree.traverse(x.row(i));
@@ -652,6 +769,12 @@ impl<K> Gbdt<K> {
         self.ensemble.n_nodes()
     }
 
+    /// The kept rounds.
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> &[FlatTree] {
+        &self.ensemble.trees
+    }
+
     /// Boost on the checked targets `y` and keep the rounds with the
     /// classification or regression link.
     fn fit_rounds(
@@ -743,7 +866,7 @@ mod tests {
         config: &TreeConfig,
     ) -> FlatTree {
         let data = BinnedDataset::from_presort(x, &FullPresort::new(x, y), MAX_BINS);
-        grow_binned::<C>(&data, y, sample, config)
+        grow_binned::<C>(&data, y, sample, config, Thresholds::Cuts)
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! delta kernel fans out over rows with the same worker rule and the
 //! same pool as the full kernel and gives the same bits.
 
-use crate::binned::{grow_binned, sigmoid, BinnedDataset};
+use crate::binned::{grow_binned, sigmoid, BinnedDataset, Thresholds, MAX_BINS};
 use crate::delta::{predict_delta_flats, LeafTable};
 use crate::linalg::Matrix;
 use crate::model::{
@@ -137,9 +137,11 @@ where
         return Ok(jobs.iter().map(fit_one).collect());
     }
 
-    // Tree jobs run 20–100 ms, so spawning threads here costs under
-    // 0.5 %; the pool's parked workers would keep this scratch resident
-    // (see `crate::pool`).
+    // Scoped threads, not the pool's parked workers: a worker's malloc
+    // arena would keep the per-tree scratch resident (see `crate::pool`).
+    // Each thread takes a contiguous chunk of the trees, so a fit pays
+    // one spawn per thread, about 0.1 ms, however short its trees are: a
+    // 1000-row tree takes ~0.4 ms on the histogram grower.
     let chunk = jobs.len().div_ceil(n_threads);
     Ok(std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
@@ -471,12 +473,25 @@ impl<K> RandomForest<K> {
         let mut tree_config = self.config.tree.clone();
         tree_config.max_features.get_or_insert(default_features);
         // One full-dataset presort shared by every tree worker; the
-        // binned tier quantizes it once more into one shared bin matrix
-        // (this is the "one-time per-forest" cost — tree workers never
-        // sort or scan full-precision columns again).
+        // histogram grower quantizes it once more into one shared bin
+        // matrix (this is the "one-time per-forest" cost — tree workers
+        // never sort or scan full-precision columns again).
         let presort = FullPresort::new(x, y);
-        let binned = match self.config.trainer {
-            Trainer::Binned => Some(BinnedDataset::from_presort(x, &presort, self.config.n_bins)),
+        // The one choice of grower. The binned tier always grows
+        // histogram trees. The exact tier grows them too when its trees
+        // come out the same: counts fold in any order (Gini, not MSE)
+        // and every feature has at most `MAX_BINS` distinct values, so
+        // that bins are value classes (`docs/FOREST.md`, "Training").
+        let histograms = match self.config.trainer {
+            Trainer::Binned => Some((
+                BinnedDataset::from_presort(x, &presort, self.config.n_bins),
+                Thresholds::Cuts,
+            )),
+            Trainer::Presorted if !C::ORDER_SENSITIVE => {
+                let data = BinnedDataset::from_presort(x, &presort, MAX_BINS);
+                data.bins_are_classes()
+                    .then_some((data, Thresholds::Midpoints))
+            }
             Trainer::Presorted => None,
         };
         let train = |seed, sample: &[usize]| {
@@ -484,8 +499,8 @@ impl<K> RandomForest<K> {
                 seed,
                 ..tree_config.clone()
             };
-            match &binned {
-                Some(data) => grow_binned::<C>(data, y, sample, &cfg),
+            match &histograms {
+                Some((data, thresholds)) => grow_binned::<C>(data, y, sample, &cfg, *thresholds),
                 None => Grow::<C>::build(x, y, sample, &cfg, &presort),
             }
         };
@@ -904,6 +919,39 @@ mod tests {
             Some(&"tree growth failed"),
             "the worker's own payload, not a wrapper"
         );
+    }
+
+    #[test]
+    fn fitted_trees_keep_no_spare_node_capacity() {
+        use crate::binned::{GbdtConfig, GbdtRegressor};
+        let (x, y) = class_data(300, 40);
+        let targets: Vec<f64> = y.iter().map(|&v| f64::from(v)).collect();
+        let config = |trainer| ForestConfig {
+            n_trees: 4,
+            seed: 41,
+            trainer,
+            ..ForestConfig::default()
+        };
+        // Gini on the histogram grower, MSE on the presorted grower,
+        // and the binned tier.
+        let mut exact = RandomForestClassifier::new(config(Trainer::Presorted));
+        exact.fit(&x, &y).unwrap();
+        let mut presorted = RandomForestRegressor::new(config(Trainer::Presorted));
+        presorted.fit(&x, &targets).unwrap();
+        let mut binned = RandomForestClassifier::new(config(Trainer::Binned));
+        binned.fit(&x, &y).unwrap();
+        let mut gbdt = GbdtRegressor::new(GbdtConfig {
+            n_rounds: 4,
+            holdout_fraction: 0.0,
+            ..GbdtConfig::default()
+        });
+        gbdt.fit(&x, &targets).unwrap();
+        let forests = [&exact.ensemble, &presorted.ensemble, &binned.ensemble];
+        let trees = forests.iter().flat_map(|e| &e.trees).chain(gbdt.trees());
+        for (i, tree) in trees.enumerate() {
+            assert!(tree.n_nodes() > 1, "tree {i} splits");
+            assert_eq!(tree.spare_capacity(), 0, "tree {i}");
+        }
     }
 
     #[test]

@@ -41,7 +41,9 @@
 //!   quantization, O(bins) split scans over per-node histograms, and
 //!   gradient-boosted ensembles ([`binned::Gbdt`]) on the same
 //!   machinery. Deterministic, but approximate — its contract is
-//!   accuracy-within-ε, not bit-identity.
+//!   accuracy-within-ε, not bit-identity. The same histogram grower
+//!   also grows the exact tier's Gini forests, bit-identically, when
+//!   every feature has at most 256 distinct values.
 //! * [`overlay`] — copy-on-write [`overlay::ColumnOverlay`] matrix
 //!   views, the zero-clone substrate of bulk scenario evaluation
 //!   (paired with [`model::Predictor::predict_batch`]).

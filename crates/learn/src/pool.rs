@@ -22,11 +22,12 @@
 //! * **Determinism.** Results never depend on which thread ran a
 //!   chunk: every caller gives each chunk its own output slots.
 //!
-//! **Training stays on scoped threads** (`forest::fit_trees`). A
-//! tree-training job runs 20–100 ms, so spawning costs it under 0.5 %,
-//! while a parked worker's malloc arena keeps the per-tree scratch it
-//! allocated: a prototype that ran training on the pool measured
-//! resident memory after a 2000-row `Train` at 12.2 MB against 9.1 MB.
+//! **Training stays on scoped threads** (`forest::fit_trees`), one per
+//! contiguous chunk of trees, so a fit spawns once per thread however
+//! short its trees are, while a parked worker's malloc arena keeps the
+//! per-tree scratch it allocated: a prototype that ran training on the
+//! pool measured resident memory after a 2000-row `Train` at 12.2 MB
+//! against 9.1 MB.
 //! For the same reason the workers start before a model's first fit
 //! ([`start`]), not at the first prediction fan-out.
 

@@ -26,6 +26,11 @@
 //! (per-node gather-and-sort, enum-arena walk), which survives only as
 //! the standalone test oracle in `tests/seed_cart` — see
 //! `docs/FOREST.md` for the determinism and tie-order contract.
+//!
+//! Single trees, MSE forests and Gini forests with a feature of more
+//! than 256 distinct values take this presorted grower (`Grow`). Other
+//! Gini forests grow the same trees on value-class histograms
+//! ([`crate::binned`]); the choice is made in `fit_forest`.
 
 use crate::linalg::Matrix;
 use crate::model::{
@@ -63,19 +68,25 @@ impl Default for TreeConfig {
     }
 }
 
-/// Which split-finding engine grows a forest's trees.
+/// Which training tier grows a forest's trees.
 ///
-/// `Presorted` is the exact trainer: bit-identical to the seed
+/// `Presorted` is the exact tier: bit-identical to the seed
 /// gather-and-sort CART, which `tests/forest_equivalence.rs` pins it
 /// against. `Binned` is the histogram tier: quantized features, O(bins)
-/// split scans, explicitly **not** bit-identical to the exact trainer —
+/// split scans, explicitly **not** bit-identical to the exact tier —
 /// it carries its own accuracy contract instead (see `docs/FOREST.md`
 /// and [`crate::binned`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trainer {
-    /// Forest-level presort, stable partition down the tree,
-    /// counting-sort replay of the seed's pair order. No per-node
-    /// allocations.
+    /// The exact tier. A forest-level presort feeds one of two growers,
+    /// picked by the criterion and the data: a Gini forest whose
+    /// features have at most 256 distinct values each grows on
+    /// value-class histograms (the binned tier's grower with the exact
+    /// tier's midpoint thresholds). MSE forests and the rest take the
+    /// presorted grower, which partitions the presorted columns stably
+    /// down the tree and, for MSE, replays the seed's pair order by
+    /// counting sort. Neither allocates per node, and both give the
+    /// seed's trees bit for bit.
     Presorted,
     /// Histogram-binned split finding: each feature quantized to ≤256
     /// quantile buckets once per forest; every node samples its feature
@@ -457,14 +468,18 @@ impl FlatTree {
         self.n_features
     }
 
-    /// Assemble from pre-built arenas (the binned trainer grows its
-    /// arenas outside [`Grow`]). `meta`/`thresh` must follow this
-    /// type's pre-order layout: left child at `i + 1`, feature ==
-    /// [`LEAF`] marking leaves whose `thresh` is the leaf value, and
-    /// every leaf absorbing ([`leaf_meta`]).
+    /// Assemble a finished tree from its grower's arenas ([`Grow`] or
+    /// the histogram grower in [`crate::binned`]). `meta`/`thresh` must
+    /// follow this type's pre-order layout: left child at `i + 1`,
+    /// feature == [`LEAF`] marking leaves whose `thresh` is the leaf
+    /// value, and every leaf absorbing ([`leaf_meta`]).
+    ///
+    /// The growers reserve room for the most nodes a sample can make
+    /// (`2 * n`); a fitted tree keeps only what it uses, since a forest
+    /// holds its trees for as long as the model is served.
     pub(crate) fn from_parts(
-        meta: Vec<u64>,
-        thresh: Vec<f64>,
+        mut meta: Vec<u64>,
+        mut thresh: Vec<f64>,
         n_features: usize,
         importances: Vec<f64>,
         depth: usize,
@@ -475,6 +490,8 @@ impl FlatTree {
                 .all(|(i, &m)| m as u32 != LEAF || m == leaf_meta(i as u32)),
             "every leaf must point its right child at itself"
         );
+        meta.shrink_to_fit();
+        thresh.shrink_to_fit();
         FlatTree {
             meta,
             thresh,
@@ -503,6 +520,12 @@ impl FlatTree {
     /// Number of nodes (store weight accounting).
     pub(crate) fn n_nodes(&self) -> usize {
         self.meta.len()
+    }
+
+    /// Allocated but unused node slots, over both arrays.
+    #[cfg(test)]
+    pub(crate) fn spare_capacity(&self) -> usize {
+        self.meta.capacity() - self.meta.len() + self.thresh.capacity() - self.thresh.len()
     }
 }
 
@@ -843,13 +866,7 @@ impl<'a, C: Criterion> Grow<'a, C> {
             _criterion: std::marker::PhantomData,
         };
         b.grow(0, n, 0, None);
-        FlatTree {
-            meta: b.meta,
-            thresh: b.thresh,
-            n_features: p,
-            importances: b.importances,
-            depth: b.max_depth_seen,
-        }
+        FlatTree::from_parts(b.meta, b.thresh, p, b.importances, b.max_depth_seen)
     }
 
     fn push_leaf(&mut self, value: f64) -> u32 {
@@ -1190,24 +1207,45 @@ impl<'a, C: Criterion> Grow<'a, C> {
                 }
                 debug_assert_eq!(keep, split_at);
             } else {
-                // Branchless two-stream split: both stores retire every
-                // iteration and only the matching cursor advances, so
-                // the ~50/50 left/right outcome never mispredicts.
-                let mut keep = start;
-                let mut spill = 0usize;
-                for i in start..end {
-                    let e = self.entries[base + i];
-                    let left = usize::from(self.goes_left[entry_slot(e)]);
-                    self.entries[base + keep] = e;
-                    self.scratch[spill] = e;
-                    keep += left;
-                    spill += 1 - left;
-                }
-                self.entries[base + keep..base + end].copy_from_slice(&self.scratch[..spill]);
-                debug_assert_eq!(keep, split_at);
+                let goes_left = &self.goes_left;
+                let keep = stable_partition(
+                    &mut self.entries[base + start..base + end],
+                    &mut self.scratch,
+                    |e| goes_left[entry_slot(e)] != 0,
+                );
+                debug_assert_eq!(start + keep, split_at);
             }
         }
     }
+}
+
+/// Move the items `goes_left` accepts to the front of `items` and the
+/// others after them, both in their original order; returns how many
+/// went left. `spill` holds the right side meanwhile and needs room for
+/// it.
+///
+/// A branchless two-stream split: both stores retire every iteration
+/// and only the matching cursor advances, so a ~50/50 left/right
+/// outcome never mispredicts, and no load waits on the previous
+/// compare as an in-place swap loop's do.
+#[inline]
+pub(crate) fn stable_partition<T: Copy>(
+    items: &mut [T],
+    spill: &mut [T],
+    goes_left: impl Fn(T) -> bool,
+) -> usize {
+    let mut keep = 0;
+    let mut spilled = 0;
+    for i in 0..items.len() {
+        let e = items[i];
+        let left = usize::from(goes_left(e));
+        items[keep] = e;
+        spill[spilled] = e;
+        keep += left;
+        spilled += 1 - left;
+    }
+    items[keep..].copy_from_slice(&spill[..spilled]);
+    keep
 }
 
 /// Normalize importances to sum to 1 (leaves zeros untouched).

@@ -821,3 +821,112 @@ fn presorted_forest_matches_reference_forest_bit_for_bit() {
         );
     }
 }
+
+/// A Gini forest equals the seed oracle's on `x`: OOB accuracy bits,
+/// importances, and every prediction of a training row and of a probe
+/// row, for a few seeds, depths and leaf minimums.
+fn gini_forests_match_the_oracle(x: &Matrix, labels: &[u8]) {
+    for seed in [3u64, 41, 97] {
+        for (max_depth, min_leaf) in [(3, 1), (12, 1), (12, 2), (30, 3)] {
+            let config = ForestConfig {
+                n_trees: 6,
+                tree: tree_config(max_depth, min_leaf, None, 0),
+                seed,
+                n_threads: 2,
+                ..ForestConfig::default()
+            };
+            let mut forest = RandomForestClassifier::new(config.clone());
+            forest.fit(x, labels).unwrap();
+            let oracle = SeedForest::fit_classifier(x, labels, &config);
+            let case = format!("seed {seed}, depth {max_depth}, min leaf {min_leaf}");
+            assert_eq!(
+                forest.oob_accuracy().unwrap().to_bits(),
+                oracle.oob_score.to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                forest.feature_importances().unwrap(),
+                &oracle.importances[..],
+                "{case}"
+            );
+            let training = (0..x.n_rows()).map(|i| x.row(i).to_vec());
+            for (i, row) in training.chain(probe_rows(x)).enumerate() {
+                assert_eq!(
+                    forest.predict_row(&row).unwrap().to_bits(),
+                    oracle.predict_row(&row).to_bits(),
+                    "{case}, row {i}"
+                );
+            }
+        }
+    }
+}
+
+/// Three features whose cells are drawn from `values`, and labels that
+/// mostly follow the position of feature 0's value in `values`, so that
+/// splits land between every pair of neighbouring values. Feature 0
+/// takes every value once in its first rows.
+fn drawn_from(values: &[f64], n_rows: usize) -> (Matrix, Vec<u8>) {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let mut rows = Vec::with_capacity(n_rows);
+    let mut labels = Vec::with_capacity(n_rows);
+    for i in 0..n_rows {
+        let k = if i < values.len() {
+            i
+        } else {
+            next(values.len())
+        };
+        rows.push(vec![values[k], values[next(values.len())], next(5) as f64]);
+        labels.push(u8::from((k % 3 == 1) != (next(10) == 0)));
+    }
+    (Matrix::from_rows(&rows).unwrap(), labels)
+}
+
+/// The exact tier picks its grower by the data: with at most 256
+/// distinct values in every feature a Gini forest grows on value-class
+/// histograms, with one more it takes the presorted grower. Both sides
+/// of that line are the seed's forest.
+#[test]
+fn gini_forests_match_the_oracle_on_both_sides_of_256_values() {
+    for distinct in [256u32, 257] {
+        let values: Vec<f64> = (0..distinct).map(|v| f64::from(v) / 8.0 - 9.0).collect();
+        let (x, labels) = drawn_from(&values, 700);
+        let seen: std::collections::BTreeSet<u64> =
+            (0..x.n_rows()).map(|i| x.get(i, 0).to_bits()).collect();
+        assert_eq!(seen.len(), distinct as usize, "every value drawn");
+        gini_forests_match_the_oracle(&x, &labels);
+    }
+}
+
+/// Neighbouring values whose midpoint does not fall strictly between
+/// them: `1 + kε` for odd `k` rounds onto `1 + (k + 1)ε`, and sums of
+/// two values beyond `f64::MAX / 2` overflow to ±∞, so `x <= t` routes
+/// the neighbour (or everything) left, or nothing. The histogram grower
+/// must route those nodes like `x <= t` and recheck the leaf minimum.
+#[test]
+fn gini_forests_match_the_oracle_where_midpoints_round_or_overflow() {
+    let eps = f64::EPSILON;
+    let adjacent: Vec<f64> = (0..8).map(|k| 1.0 + f64::from(k) * eps).collect();
+    assert_eq!((adjacent[1] + adjacent[2]) / 2.0, adjacent[2]);
+    let (x, labels) = drawn_from(&adjacent, 240);
+    gini_forests_match_the_oracle(&x, &labels);
+
+    let huge = [-1.7e308, -1.5e308, -1.0, 0.5, 1.0, 1.5e308, 1.7e308];
+    assert_eq!((huge[5] + huge[6]) / 2.0, f64::INFINITY);
+    assert_eq!((huge[0] + huge[1]) / 2.0, f64::NEG_INFINITY);
+    let (x, labels) = drawn_from(&huge, 240);
+    gini_forests_match_the_oracle(&x, &labels);
+}
+
+/// −0.0 and +0.0 are one value class (`==`-equal): whichever of them
+/// stands for the class, the threshold next to it has the same bits.
+#[test]
+fn gini_forests_match_the_oracle_on_mixed_signed_zeros() {
+    let (x, labels) = drawn_from(&[-2.0, -1.0, -0.0, 0.0, 0.0, -0.0, 1.0, 2.0], 240);
+    gini_forests_match_the_oracle(&x, &labels);
+}
